@@ -78,17 +78,18 @@ pub fn fit_gumbel(data: &[f64]) -> Result<GumbelFit, MleError> {
         }
         sigma - (mean - num / den)
     };
-    let dg = |sigma: f64| -> f64 {
-        // Numerical derivative is ample: g is smooth and near-linear.
+    // Numerical derivative is ample: g is smooth and near-linear.
+    let gdg = |sigma: f64| -> (f64, f64) {
         let h = 1e-6 * sigma.max(1e-9);
-        (g(sigma + h) - g(sigma - h)) / (2.0 * h)
+        (g(sigma), (g(sigma + h) - g(sigma - h)) / (2.0 * h))
     };
     // Moment estimate brackets the root comfortably.
     let sigma0 = sd * 6.0f64.sqrt() / std::f64::consts::PI;
     let mut lo = sigma0 / 20.0;
     let mut hi = sigma0 * 20.0;
+    let mut glo = g(lo);
     let mut grow = 0;
-    while g(lo) > 0.0 {
+    while glo > 0.0 {
         lo /= 4.0;
         grow += 1;
         if grow > 30 {
@@ -96,9 +97,11 @@ pub fn fit_gumbel(data: &[f64]) -> Result<GumbelFit, MleError> {
                 stage: "gumbel scale lower bracket",
             });
         }
+        glo = g(lo);
     }
+    let mut ghi = g(hi);
     grow = 0;
-    while g(hi) < 0.0 {
+    while ghi < 0.0 {
         hi *= 4.0;
         grow += 1;
         if grow > 30 {
@@ -106,10 +109,12 @@ pub fn fit_gumbel(data: &[f64]) -> Result<GumbelFit, MleError> {
                 stage: "gumbel scale upper bracket",
             });
         }
+        ghi = g(hi);
     }
-    let root = bisect_newton(g, dg, lo, hi, 1e-12).map_err(|_| MleError::NoConvergence {
-        stage: "gumbel scale equation",
-    })?;
+    let root =
+        bisect_newton(gdg, (lo, glo), (hi, ghi), 1e-12).map_err(|_| MleError::NoConvergence {
+            stage: "gumbel scale equation",
+        })?;
     let sigma = root.x;
     let mean_exp = data
         .iter()

@@ -2,9 +2,10 @@
 //! (the paper's §3.2, after Smith 1985).
 
 use crate::error::MleError;
-use crate::weibull2::fit_weibull2;
+use crate::weibull2::{fit_weibull2_in, Weibull2Fit};
 use mpe_evt::ReversedWeibull;
 use mpe_stats::optimize::golden_section;
+use std::cell::RefCell;
 
 /// Tuning knobs for [`fit_reversed_weibull_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,18 +64,28 @@ impl WeibullFit {
     }
 }
 
-/// Profiled mean log-likelihood at a candidate endpoint `mu`:
-/// the inner two-parameter Weibull MLE on `y_i = mu − x_i`.
-/// Returns `f64::NEG_INFINITY` where the inner fit is infeasible.
-fn profile_mll(data: &[f64], mu: f64, scratch: &mut Vec<f64>) -> f64 {
-    scratch.clear();
-    scratch.extend(data.iter().map(|&x| mu - x));
-    if scratch.iter().any(|&y| y <= 0.0) {
-        return f64::NEG_INFINITY;
+/// The buffers one fit reuses for every probe: `y_i = μ − x_i` and `ln y_i`.
+#[derive(Default)]
+struct Scratch {
+    y: Vec<f64>,
+    ln_y: Vec<f64>,
+}
+
+impl Scratch {
+    /// The inner two-parameter Weibull MLE on `y_i = mu − x_i`.
+    fn fit_at(&mut self, data: &[f64], mu: f64) -> Result<Weibull2Fit, MleError> {
+        self.y.clear();
+        self.y.extend(data.iter().map(|&x| mu - x));
+        fit_weibull2_in(&self.y, &mut self.ln_y)
     }
-    match fit_weibull2(scratch) {
-        Ok(fit) => fit.mean_log_likelihood,
-        Err(_) => f64::NEG_INFINITY,
+
+    /// Profiled mean log-likelihood at a candidate endpoint `mu`;
+    /// `f64::NEG_INFINITY` where the inner fit is infeasible (some `y_i ≤ 0`).
+    fn profile_mll(&mut self, data: &[f64], mu: f64) -> f64 {
+        match self.fit_at(data, mu) {
+            Ok(fit) => fit.mean_log_likelihood,
+            Err(_) => f64::NEG_INFINITY,
+        }
     }
 }
 
@@ -161,7 +172,7 @@ fn fit_inner(
     // shapes < 1; scanning first makes the refinement bracket trustworthy.
     let ln_lo = opts.mu_lower_fraction.ln();
     let ln_hi = opts.mu_upper_fraction.ln();
-    let mut scratch = Vec::with_capacity(m);
+    let scratch = RefCell::new(Scratch::default());
     let mut best_j = 0usize;
     let mut best_ll = f64::NEG_INFINITY;
     let offsets: Vec<f64> = (0..opts.grid_points)
@@ -172,7 +183,7 @@ fn fit_inner(
         .collect();
     for (j, &off) in offsets.iter().enumerate() {
         probes.set(probes.get() + 1);
-        let ll = profile_mll(data, x_max + off, &mut scratch);
+        let ll = scratch.borrow_mut().profile_mll(data, x_max + off);
         if ll > best_ll {
             best_ll = ll;
             best_j = j;
@@ -192,7 +203,7 @@ fn fit_inner(
         let res = golden_section(
             |mu| {
                 probes.set(probes.get() + 1);
-                -profile_mll(data, mu, &mut Vec::with_capacity(m))
+                -scratch.borrow_mut().profile_mll(data, mu)
             },
             lo,
             hi,
@@ -207,9 +218,7 @@ fn fit_inner(
     };
 
     // Final inner fit at the refined endpoint.
-    scratch.clear();
-    scratch.extend(data.iter().map(|&x| mu_hat - x));
-    let inner = fit_weibull2(&scratch)?;
+    let inner = scratch.into_inner().fit_at(data, mu_hat)?;
     let distribution = ReversedWeibull::new(inner.alpha, inner.beta, mu_hat)?;
     Ok(WeibullFit {
         distribution,

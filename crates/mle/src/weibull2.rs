@@ -42,8 +42,9 @@ fn safe_ln(y: f64) -> f64 {
 /// # Errors
 ///
 /// * [`MleError::InsufficientData`] — fewer than 3 observations;
-/// * [`MleError::DegenerateSample`] — any `y ≤ 0`, or all values identical
-///   (the shape equation then has no finite root);
+/// * [`MleError::DegenerateSample`] — any `y ≤ 0`, all values identical
+///   (the shape equation then has no finite root), or `Σ y_i^α̂` so small or
+///   large that `β̂` or the log-likelihood is not finite;
 /// * [`MleError::NoConvergence`] — the root solve failed (pathological data).
 ///
 /// # Example
@@ -59,6 +60,25 @@ fn safe_ln(y: f64) -> f64 {
 /// # }
 /// ```
 pub fn fit_weibull2(y: &[f64]) -> Result<Weibull2Fit, MleError> {
+    fit_weibull2_in(y, &mut Vec::with_capacity(y.len()))
+}
+
+/// `(Σp, Σp·l, Σp·l²)` with `p = y_i^α` and `l = ln y_i`: one pass yields
+/// the shape residual, its derivative and, at the root, `β̂`.
+fn power_sums(y: &[f64], ln_y: &[f64], alpha: f64) -> (f64, f64, f64) {
+    let (mut s, mut sl, mut sll) = (0.0, 0.0, 0.0);
+    for (&v, &l) in y.iter().zip(ln_y) {
+        let p = v.powf(alpha);
+        s += p;
+        sl += p * l;
+        sll += p * l * l;
+    }
+    (s, sl, sll)
+}
+
+/// [`fit_weibull2`] with a caller-owned buffer for `ln y_i`, which it fills
+/// once; the profile search reuses one buffer for every probe of a fit.
+pub(crate) fn fit_weibull2_in(y: &[f64], ln_y: &mut Vec<f64>) -> Result<Weibull2Fit, MleError> {
     let m = y.len();
     if m < 3 {
         return Err(MleError::InsufficientData { needed: 3, got: m });
@@ -68,10 +88,13 @@ pub fn fit_weibull2(y: &[f64]) -> Result<Weibull2Fit, MleError> {
             reason: "all observations must be strictly positive and finite",
         });
     }
-    let mean_ln: f64 = y.iter().map(|&v| safe_ln(v)).sum::<f64>() / m as f64;
-    let spread = y
+    ln_y.clear();
+    ln_y.extend(y.iter().map(|&v| safe_ln(v)));
+    let ln_y = &ln_y[..];
+    let mean_ln: f64 = ln_y.iter().sum::<f64>() / m as f64;
+    let spread = ln_y
         .iter()
-        .map(|&v| (safe_ln(v) - mean_ln).abs())
+        .map(|&l| (l - mean_ln).abs())
         .fold(0.0, f64::max);
     if spread < 1e-12 {
         return Err(MleError::DegenerateSample {
@@ -79,42 +102,31 @@ pub fn fit_weibull2(y: &[f64]) -> Result<Weibull2Fit, MleError> {
         });
     }
 
-    // Shape equation residual g(α) and derivative g'(α).
-    let g = |alpha: f64| -> f64 {
-        let mut s = 0.0;
-        let mut sl = 0.0;
-        for &v in y {
-            let p = v.powf(alpha);
-            s += p;
-            sl += p * safe_ln(v);
-        }
-        sl / s - 1.0 / alpha - mean_ln
-    };
-    let dg = |alpha: f64| -> f64 {
-        let mut s = 0.0;
-        let mut sl = 0.0;
-        let mut sll = 0.0;
-        for &v in y {
-            let l = safe_ln(v);
-            let p = v.powf(alpha);
-            s += p;
-            sl += p * l;
-            sll += p * l * l;
-        }
+    // Shape equation residual g(α) = Σp·l/Σp − 1/α − mean ln y and its
+    // derivative, from one pass; `last` keeps (α, Σp) of the latest pass,
+    // so the root's Σp gives β̂ without another pass.
+    let mut last = (f64::NAN, 0.0);
+    let mut shape = |alpha: f64| -> (f64, f64) {
+        let (s, sl, sll) = power_sums(y, ln_y, alpha);
+        last = (alpha, s);
         // d/dα [Σp·l/Σp] = (Σp·l² · Σp − (Σp·l)²)/ (Σp)² ; plus 1/α²
-        (sll * s - sl * sl) / (s * s) + 1.0 / (alpha * alpha)
+        let dg = (sll * s - sl * sl) / (s * s) + 1.0 / (alpha * alpha);
+        (sl / s - 1.0 / alpha - mean_ln, dg)
     };
 
     // Bracket the root: g is increasing; g(α→0⁺) → −∞ is guaranteed, and for
     // large α, g → max ln y − mean ln y > 0. Grow the upper bound until the
     // sign flips.
     let mut lo = 1e-3;
-    while g(lo) > 0.0 && lo > 1e-12 {
+    let mut g_lo = shape(lo).0;
+    while g_lo > 0.0 && lo > 1e-12 {
         lo /= 10.0;
+        g_lo = shape(lo).0;
     }
     let mut hi = 10.0;
+    let mut g_hi = shape(hi).0;
     let mut grow = 0;
-    while g(hi) < 0.0 {
+    while g_hi < 0.0 {
         hi *= 4.0;
         grow += 1;
         if grow > 40 {
@@ -122,14 +134,27 @@ pub fn fit_weibull2(y: &[f64]) -> Result<Weibull2Fit, MleError> {
                 stage: "weibull2 shape bracket",
             });
         }
+        g_hi = shape(hi).0;
     }
-    let root = bisect_newton(g, dg, lo, hi, 1e-12).map_err(|_| MleError::NoConvergence {
-        stage: "weibull2 shape equation",
+    let root = bisect_newton(&mut shape, (lo, g_lo), (hi, g_hi), 1e-12).map_err(|_| {
+        MleError::NoConvergence {
+            stage: "weibull2 shape equation",
+        }
     })?;
     let alpha = root.x;
-    let sum_pow: f64 = y.iter().map(|&v| v.powf(alpha)).sum();
+    // A bracket end that is itself the root may not be the latest pass.
+    let sum_pow = if last.0 == alpha {
+        last.1
+    } else {
+        power_sums(y, ln_y, alpha).0
+    };
     let beta = m as f64 / sum_pow;
     let mll = alpha.ln() + beta.ln() + (alpha - 1.0) * mean_ln - beta * sum_pow / m as f64;
+    if !(beta.is_finite() && mll.is_finite()) {
+        return Err(MleError::DegenerateSample {
+            reason: "sum of y^alpha under- or overflows; the scale is not representable",
+        });
+    }
     Ok(Weibull2Fit {
         alpha,
         beta,
@@ -218,11 +243,19 @@ mod tests {
 
     #[test]
     fn handles_tiny_values() {
-        // Values near denormal range must not produce NaN
-        let y = vec![1e-200, 2e-200, 3e-200, 5e-200, 8e-200];
+        // Tiny but representable: Σ y^α ≈ 1e-256, so the fit stays finite.
+        let y = vec![1e-160, 2e-160, 3e-160, 5e-160, 8e-160];
         let fit = fit_weibull2(&y).unwrap();
-        assert!(fit.alpha.is_finite());
-        assert!(fit.beta.is_finite() || fit.beta > 0.0);
+        assert!(fit.alpha.is_finite() && fit.alpha > 0.0);
+        assert!(fit.beta.is_finite() && fit.beta > 0.0);
+        assert!(fit.mean_log_likelihood.is_finite());
+        // Near the denormal range Σ y^α underflows and β̂ = m/Σ y^α would be
+        // +∞ with a NaN log-likelihood: that must be an error, not an `Ok`.
+        let y = vec![1e-200, 2e-200, 3e-200, 5e-200, 8e-200];
+        assert!(matches!(
+            fit_weibull2(&y),
+            Err(MleError::DegenerateSample { .. })
+        ));
     }
 
     #[test]

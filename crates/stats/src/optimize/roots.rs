@@ -13,9 +13,16 @@ pub struct RootResult {
     pub iterations: usize,
 }
 
-/// Finds a root of `f` on the bracket `[a, b]` using Newton steps (with the
-/// supplied derivative) safeguarded by bisection: any Newton step leaving
-/// the bracket, or shrinking it too slowly, falls back to a bisection step.
+/// Finds a root of `f` on the bracket `[a, b]` using Newton steps
+/// safeguarded by bisection: any Newton step leaving the bracket, or
+/// shrinking it too slowly, falls back to a bisection step.
+///
+/// `fdf(x)` returns `(f(x), f′(x))` in one call, so a residual and its
+/// derivative that share work (the Weibull shape equation's sums) cost one
+/// pass per iterate. The caller passes the bracket ends with their known
+/// residuals `fa = f(a)` and `fb = f(b)`, typically left over from its own
+/// bracket search; `fdf` is called exactly once per iterate and never at
+/// `a` or `b`.
 ///
 /// This is the textbook-reliable combination used for the Weibull shape
 /// equation in `mpe-mle`, whose residual is smooth and monotone but whose
@@ -24,7 +31,7 @@ pub struct RootResult {
 /// # Errors
 ///
 /// Returns [`StatsError::InvalidArgument`] if the bracket is invalid or
-/// `f(a)` and `f(b)` have the same sign, and [`StatsError::NoConvergence`]
+/// `fa` and `fb` have the same sign, and [`StatsError::NoConvergence`]
 /// if 200 iterations pass without meeting `tol`.
 ///
 /// # Example
@@ -32,16 +39,20 @@ pub struct RootResult {
 /// ```
 /// use mpe_stats::optimize::bisect_newton;
 /// # fn main() -> Result<(), mpe_stats::StatsError> {
-/// // root of x² − 2
-/// let r = bisect_newton(|x| x * x - 2.0, |x| 2.0 * x, 0.0, 2.0, 1e-14)?;
+/// // root of x² − 2 on [0, 2], where f(0) = −2 and f(2) = 2
+/// let r = bisect_newton(|x| (x * x - 2.0, 2.0 * x), (0.0, -2.0), (2.0, 2.0), 1e-14)?;
 /// assert!((r.x - 2f64.sqrt()).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
-pub fn bisect_newton<F, D>(f: F, df: D, a: f64, b: f64, tol: f64) -> Result<RootResult, StatsError>
+pub fn bisect_newton<F>(
+    mut fdf: F,
+    (a, fa): (f64, f64),
+    (b, fb): (f64, f64),
+    tol: f64,
+) -> Result<RootResult, StatsError>
 where
-    F: Fn(f64) -> f64,
-    D: Fn(f64) -> f64,
+    F: FnMut(f64) -> (f64, f64),
 {
     if !(a.is_finite() && b.is_finite() && a < b) {
         return Err(StatsError::invalid("a/b", "finite and a < b", b - a));
@@ -49,8 +60,6 @@ where
     if tol <= 0.0 {
         return Err(StatsError::invalid("tol", "tol > 0", tol));
     }
-    let fa = f(a);
-    let fb = f(b);
     if fa == 0.0 {
         return Ok(RootResult {
             x: a,
@@ -74,10 +83,10 @@ where
     }
 
     let (mut lo, mut hi) = (a, b);
-    let (mut flo, _fhi) = (fa, fb);
+    let mut flo = fa;
     let mut x = 0.5 * (lo + hi);
     for it in 1..=200 {
-        let fx = f(x);
+        let (fx, d) = fdf(x);
         if fx.abs() < tol || (hi - lo) < tol * (1.0 + x.abs()) {
             return Ok(RootResult {
                 x,
@@ -93,7 +102,6 @@ where
             hi = x;
         }
         // Attempt a Newton step; fall back to bisection when unusable.
-        let d = df(x);
         let newton = x - fx / d;
         x = if d.is_finite() && d != 0.0 && newton > lo && newton < hi {
             newton
@@ -111,48 +119,96 @@ where
 mod tests {
     use super::*;
 
+    /// Solves with `f`/`df`, evaluating the bracket ends itself, and checks
+    /// that `fdf` runs exactly once per iterate and never at `a` or `b`.
+    fn solve(
+        f: impl Fn(f64) -> f64,
+        df: impl Fn(f64) -> f64,
+        a: f64,
+        b: f64,
+        tol: f64,
+    ) -> Result<RootResult, StatsError> {
+        let mut calls = 0;
+        let result = bisect_newton(
+            |x| {
+                assert!(x != a && x != b, "fdf called at a bracket end {x}");
+                calls += 1;
+                (f(x), df(x))
+            },
+            (a, f(a)),
+            (b, f(b)),
+            tol,
+        );
+        let iterations = match &result {
+            Ok(r) => r.iterations,
+            Err(StatsError::NoConvergence { iterations, .. }) => *iterations,
+            Err(_) => 0,
+        };
+        assert_eq!(calls, iterations, "one fdf call per iterate");
+        result
+    }
+
+    // Roots and iteration counts below are those of the earlier two-closure
+    // `bisect_newton(f, df, a, b, tol)`, which evaluated `f(a)` and `f(b)`
+    // itself: the iterates must not change.
+
     #[test]
     fn sqrt_two() {
-        let r = bisect_newton(|x| x * x - 2.0, |x| 2.0 * x, 0.0, 2.0, 1e-14).unwrap();
-        assert!((r.x - std::f64::consts::SQRT_2).abs() < 1e-12);
+        let r = solve(|x| x * x - 2.0, |x| 2.0 * x, 0.0, 2.0, 1e-14).unwrap();
+        assert_eq!(r.x, std::f64::consts::SQRT_2);
+        assert_eq!(r.iterations, 6);
     }
 
     #[test]
     fn transcendental_root() {
         // x = cos(x) near 0.739
-        let r = bisect_newton(|x| x - x.cos(), |x| 1.0 + x.sin(), 0.0, 1.0, 1e-14).unwrap();
-        assert!((r.x - 0.7390851332151607).abs() < 1e-10);
+        let r = solve(|x| x - x.cos(), |x| 1.0 + x.sin(), 0.0, 1.0, 1e-14).unwrap();
+        assert_eq!(r.x.to_bits(), 0x3fe7_a695_dd83_ce2e);
+        assert_eq!(r.iterations, 5);
     }
 
     #[test]
     fn endpoint_root_detected() {
-        let r = bisect_newton(|x| x, |_| 1.0, 0.0, 1.0, 1e-12).unwrap();
+        let r = solve(|x| x, |_| 1.0, 0.0, 1.0, 1e-12).unwrap();
         assert_eq!(r.x, 0.0);
+        assert_eq!(r.iterations, 0);
+        let r = solve(|x| x - 1.0, |_| 1.0, 0.0, 1.0, 1e-12).unwrap();
+        assert_eq!(r.x, 1.0);
         assert_eq!(r.iterations, 0);
     }
 
     #[test]
     fn bad_derivative_still_converges() {
         // Supply a garbage derivative; bisection fallback must still work.
-        let r = bisect_newton(|x| x * x * x - 8.0, |_| 0.0, 0.0, 10.0, 1e-10).unwrap();
-        assert!((r.x - 2.0).abs() < 1e-7);
+        let r = solve(|x| x * x * x - 8.0, |_| 0.0, 0.0, 10.0, 1e-10).unwrap();
+        assert_eq!(r.x.to_bits(), 0x3fff_ffff_fffe_0000);
+        assert_eq!(r.iterations, 36);
     }
 
     #[test]
     fn same_sign_bracket_rejected() {
-        assert!(bisect_newton(|x| x * x + 1.0, |x| 2.0 * x, -1.0, 1.0, 1e-10).is_err());
+        assert!(matches!(
+            solve(|x| x * x + 1.0, |x| 2.0 * x, -1.0, 1.0, 1e-10),
+            Err(StatsError::InvalidArgument { .. })
+        ));
     }
 
     #[test]
     fn invalid_inputs_rejected() {
-        assert!(bisect_newton(|x| x, |_| 1.0, 1.0, 0.0, 1e-10).is_err());
-        assert!(bisect_newton(|x| x, |_| 1.0, -1.0, 1.0, -1e-10).is_err());
+        assert!(matches!(
+            solve(|x| x, |_| 1.0, 1.0, 0.0, 1e-10),
+            Err(StatsError::InvalidArgument { .. })
+        ));
+        assert!(matches!(
+            solve(|x| x, |_| 1.0, -1.0, 1.0, -1e-10),
+            Err(StatsError::InvalidArgument { .. })
+        ));
     }
 
     #[test]
     fn steep_function() {
         // f(x) = tanh(50(x-0.3)) has a very steep root at 0.3
-        let r = bisect_newton(
+        let r = solve(
             |x| (50.0 * (x - 0.3)).tanh(),
             |x| 50.0 / (50.0 * (x - 0.3)).cosh().powi(2),
             0.0,
@@ -160,6 +216,7 @@ mod tests {
             1e-12,
         )
         .unwrap();
-        assert!((r.x - 0.3).abs() < 1e-9);
+        assert_eq!(r.x, 0.3);
+        assert_eq!(r.iterations, 8);
     }
 }
