@@ -20,24 +20,20 @@
 
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use maxpower::checkpoint::{
-    backup_path, load_with_recovery, save_atomic, CheckpointSource, CheckpointWriter,
-};
-use maxpower::serve::{jobs::kernel_usage_error, Server, ServerConfig};
+use maxpower::checkpoint::{backup_path, load_with_recovery, save_atomic, CheckpointSource};
+use maxpower::serve::{Server, ServerConfig};
 use maxpower::telemetry::{
     diff_summaries, forward, names, replay, ForwardHandle, JsonlSink, ProgressSink, SpanKind,
     SubscriberSink, Telemetry, TraceSummary, DEFAULT_SUBSCRIBER_CAPACITY,
 };
 use maxpower::{
-    estimate_average_power, AppError, Checkpoint, DelaySource, EstimateReport, EstimationConfig,
-    EstimatorBuilder, MaxPowerEstimate, PowerSourceFactory, RunBudget, RunOptions, RunStatus,
-    SamplePolicy, Session, SimulatorSource,
+    estimate_average_power, execute, AppError, Checkpoint, Hooks, JobSpec, Metric, RunBudget,
+    RunStatus, SamplePolicy, SimulatorSource,
 };
 use mpe_netlist::{bench_format, generate, Circuit, Iscas85};
 use mpe_sim::{DelayModel, KernelMode, PowerConfig};
-use mpe_vectors::PairGenerator;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -195,22 +191,23 @@ fn run(args: &[String]) -> Result<(), AppError> {
     if command == "serve" {
         return run_serve(&args[1..]);
     }
-    let flags = Flags::parse(&args[1..]).map_err(|msg| {
+    let mut flags = Flags::parse(command, &args[1..]).map_err(|msg| {
         status!("{HELP}");
         AppError::usage(msg)
     })?;
-    // Unsupported metric/kernel combinations and out-of-domain estimation
-    // parameters are rejected here, before any circuit is built or
-    // simulated: the former with their own exit code (3), the latter as
-    // spec mistakes (2) — both distinct from runtime failures (1).
-    validate_estimation_flags(command, &flags)?;
+    // The spec is checked by the validation `POST /jobs` runs, before any
+    // circuit is built or simulated: unsupported metric/kernel
+    // combinations exit 3, out-of-domain parameters 2 — both distinct
+    // from runtime failures (1).
+    if matches!(command.as_str(), "estimate" | "delay" | "average") {
+        flags.spec.validate_parameters()?;
+    }
     let result = match command.as_str() {
-        "estimate" => run_estimate(&flags, Metric::Power),
-        "delay" => run_estimate(&flags, Metric::Delay),
-        "average" => run_average(&flags),
-        "info" => run_info(&flags),
-        "trace" => run_trace(&flags),
-        "generate" => run_generate(&flags),
+        "estimate" | "delay" => run_estimate(&mut flags),
+        "average" => run_average(&mut flags),
+        "info" => run_info(&mut flags),
+        "trace" => run_trace(&mut flags),
+        "generate" => run_generate(&mut flags),
         "help" | "--help" | "-h" => {
             println!("{HELP}");
             Ok(())
@@ -222,49 +219,17 @@ fn run(args: &[String]) -> Result<(), AppError> {
     result.map_err(|e| AppError::runtime(e.to_string()))
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Metric {
-    Power,
-    Delay,
-}
-
-/// Rejects kernel/metric combinations no kernel implements and estimation
-/// parameters outside [`EstimationConfig::validate`]'s domain. The errors
-/// are the ones `POST /jobs` returns for the same spec (422 and 400), so
-/// CLI and server reject it identically.
-fn validate_estimation_flags(command: &str, flags: &Flags) -> Result<(), AppError> {
-    if command == "delay" && matches!(flags.kernel, KernelMode::Packed | KernelMode::Packed128) {
-        return Err(kernel_usage_error(flags.kernel));
-    }
-    if matches!(command, "estimate" | "delay") {
-        flags
-            .estimation_config(0.05)
-            .validate()
-            .map_err(|e| AppError::usage(e.to_string()))?;
-    }
-    Ok(())
-}
-
-#[derive(Debug)]
+/// The one-shot subcommands' flags: the request itself as a [`JobSpec`]
+/// (the type `POST /jobs` parses into, with the same defaults), plus what
+/// only the CLI has — netlist files, output and supervision.
+#[derive(Debug, Default)]
 struct Flags {
-    circuit: Option<Iscas85>,
+    spec: JobSpec,
     bench_path: Option<String>,
     verilog_path: Option<String>,
-    gen_seed: u64,
-    epsilon: Option<f64>,
-    confidence: f64,
-    population: u64,
-    seed: u64,
-    workers: NonZeroUsize,
-    delay_model: DelayModel,
-    kernel: KernelMode,
-    activity: Option<f64>,
     json: bool,
-    sample_policy: SamplePolicy,
     checkpoint: Option<String>,
-    deadline: Option<f64>,
-    hyper_budget: Option<usize>,
-    stall_timeout: Option<f64>,
+    budget: RunBudget,
     trace_file: Option<String>,
     metrics: bool,
     progress: bool,
@@ -272,31 +237,14 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut flags = Flags {
-            circuit: None,
-            bench_path: None,
-            verilog_path: None,
-            gen_seed: 7,
-            epsilon: None,
-            confidence: 0.90,
-            population: 160_000,
-            seed: 42,
-            workers: NonZeroUsize::MIN,
-            delay_model: DelayModel::Unit,
-            kernel: KernelMode::Auto,
-            activity: None,
-            json: false,
-            sample_policy: SamplePolicy::Fail,
-            checkpoint: None,
-            deadline: None,
-            hyper_budget: None,
-            stall_timeout: None,
-            trace_file: None,
-            metrics: false,
-            progress: false,
-            live: false,
-        };
+    fn parse(command: &str, args: &[String]) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        match command {
+            "delay" => flags.spec.metric = Metric::Delay,
+            "average" => flags.spec.epsilon = 0.02,
+            _ => {}
+        }
+        let spec = &mut flags.spec;
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let mut value = || {
@@ -307,52 +255,49 @@ impl Flags {
             match flag.as_str() {
                 "--circuit" => {
                     let name = value()?;
-                    flags.circuit = Some(
+                    spec.circuit = Some(
                         Iscas85::from_name(name)
                             .ok_or_else(|| format!("unknown circuit `{name}`"))?,
                     );
                 }
                 "--bench" => flags.bench_path = Some(value()?.to_string()),
                 "--verilog" => flags.verilog_path = Some(value()?.to_string()),
-                "--gen-seed" => flags.gen_seed = parse_num(value()?, "--gen-seed")?,
-                "--epsilon" => flags.epsilon = Some(parse_num(value()?, "--epsilon")?),
-                "--confidence" => flags.confidence = parse_num(value()?, "--confidence")?,
-                "--population" => flags.population = parse_num(value()?, "--population")?,
-                "--seed" => flags.seed = parse_num(value()?, "--seed")?,
+                "--gen-seed" => spec.gen_seed = parse_num(value()?, "--gen-seed")?,
+                "--epsilon" => spec.epsilon = parse_num(value()?, "--epsilon")?,
+                "--confidence" => spec.confidence = parse_num(value()?, "--confidence")?,
+                "--population" => spec.population = parse_num(value()?, "--population")?,
+                "--seed" => spec.seed = parse_num(value()?, "--seed")?,
                 "--workers" => {
                     let n: usize = parse_num(value()?, "--workers")?;
-                    flags.workers = NonZeroUsize::new(n).ok_or_else(|| {
+                    spec.workers = NonZeroUsize::new(n).ok_or_else(|| {
                         "--workers expects a positive integer, got `0`".to_string()
                     })?;
                 }
                 "--delay-model" => {
-                    flags.delay_model = match value()? {
-                        "zero" => DelayModel::Zero,
-                        "unit" => DelayModel::Unit,
-                        "fanout" => DelayModel::fanout_default(),
-                        other => return Err(format!("unknown delay model `{other}`")),
-                    }
+                    let name = value()?;
+                    spec.delay_model = DelayModel::parse(name)
+                        .ok_or_else(|| format!("unknown delay model `{name}`"))?;
                 }
                 "--kernel" => {
                     let name = value()?;
-                    flags.kernel = KernelMode::parse(name)
+                    spec.kernel = KernelMode::parse(name)
                         .ok_or_else(|| format!("unknown kernel `{name}`"))?;
                 }
-                "--activity" => flags.activity = Some(parse_num(value()?, "--activity")?),
+                "--activity" => spec.activity = Some(parse_num(value()?, "--activity")?),
                 "--json" => flags.json = true,
                 // `SamplePolicy::parse` is shared with the job API, so
                 // `--sample-policy` and the spec's `sample_policy` field
                 // accept the same spellings with the same diagnostics.
-                "--sample-policy" => flags.sample_policy = SamplePolicy::parse(value()?)?,
+                "--sample-policy" => spec.sample_policy = SamplePolicy::parse(value()?)?,
                 "--checkpoint" => flags.checkpoint = Some(value()?.to_string()),
                 "--deadline" => {
-                    flags.deadline = Some(parse_seconds(value()?, "--deadline")?);
+                    flags.budget.deadline = Some(parse_seconds(value()?, "--deadline")?);
                 }
                 "--hyper-budget" => {
-                    flags.hyper_budget = Some(parse_num(value()?, "--hyper-budget")?);
+                    flags.budget.max_hyper_samples = Some(parse_num(value()?, "--hyper-budget")?);
                 }
                 "--stall-timeout" => {
-                    flags.stall_timeout = Some(parse_seconds(value()?, "--stall-timeout")?);
+                    flags.budget.stall_timeout = Some(parse_seconds(value()?, "--stall-timeout")?);
                 }
                 "--trace-file" => flags.trace_file = Some(value()?.to_string()),
                 "--metrics" => flags.metrics = true,
@@ -366,37 +311,50 @@ impl Flags {
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
+        let sources: Vec<&str> = [
+            ("--circuit", spec.circuit.is_some()),
+            ("--bench", flags.bench_path.is_some()),
+            ("--verilog", flags.verilog_path.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(flag, given)| given.then_some(flag))
+        .collect();
+        if let [first, second, ..] = sources[..] {
+            return Err(format!("`{first}` and `{second}` are mutually exclusive"));
+        }
+        if flags.live && flags.json {
+            return Err(
+                "--live ndjson streams events on stdout and cannot be combined with --json \
+                 (use --trace-file to capture events alongside a JSON report)"
+                    .to_string(),
+            );
+        }
         Ok(flags)
     }
 
-    fn load_circuit(&self) -> Result<Circuit, Box<dyn std::error::Error>> {
+    /// Builds the circuit the flags name. A `--bench` netlist is read into
+    /// the spec first, under the file stem as its subject name, exactly as
+    /// a client would submit it inline.
+    fn load_circuit(&mut self) -> Result<Circuit, Box<dyn std::error::Error>> {
         if let Some(path) = &self.verilog_path {
             let text = std::fs::read_to_string(path)?;
             return Ok(mpe_netlist::verilog::parse(&text)?);
         }
-        match (&self.bench_path, self.circuit) {
-            (Some(path), _) => {
-                let text = std::fs::read_to_string(path)?;
-                let name = std::path::Path::new(path)
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("netlist");
-                Ok(bench_format::parse(&text, name)?)
-            }
-            (None, Some(which)) => Ok(generate(which, self.gen_seed)?),
-            (None, None) => Err("select a circuit with --circuit, --bench or --verilog".into()),
+        if let Some(path) = &self.bench_path {
+            let stem = std::path::Path::new(path)
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .unwrap_or("netlist");
+            self.spec.name = Some(stem.to_string());
+            self.spec.bench = Some(std::fs::read_to_string(path)?);
         }
-    }
-
-    fn generator(&self) -> Result<PairGenerator, Box<dyn std::error::Error>> {
-        match self.activity {
-            Some(a) => {
-                let g = PairGenerator::Activity { activity: a };
-                g.validate(1)
-                    .map_err(|e| -> Box<dyn std::error::Error> { Box::new(e) })?;
-                Ok(g)
-            }
-            None => Ok(PairGenerator::Uniform),
+        match (&self.spec.bench, self.spec.circuit) {
+            (Some(text), _) => Ok(bench_format::parse(
+                text,
+                self.spec.name.as_deref().unwrap_or("netlist"),
+            )?),
+            (None, Some(which)) => Ok(generate(which, self.spec.gen_seed)?),
+            (None, None) => Err("select a circuit with --circuit, --bench or --verilog".into()),
         }
     }
 
@@ -440,22 +398,6 @@ impl Flags {
             };
         }
         Ok((telemetry, pipes))
-    }
-
-    /// Shared with the job API via [`EstimationConfig::for_deployment`]:
-    /// one definition of the deployment defaults keeps CLI and served
-    /// reports byte-identical for the same parameters.
-    fn estimation_config(&self, default_eps: f64) -> EstimationConfig {
-        EstimationConfig::for_deployment(
-            self.epsilon.unwrap_or(default_eps),
-            self.confidence,
-            if self.population == 0 {
-                None
-            } else {
-                Some(self.population)
-            },
-            self.sample_policy,
-        )
     }
 }
 
@@ -558,32 +500,11 @@ mod signals {
     }
 }
 
-/// Runs the session under signal/deadline/budget supervision, with
-/// crash-safe checkpoint/resume when `--checkpoint` is set.
-fn run_to_completion<F: PowerSourceFactory>(
-    session: &Session,
-    factory: &F,
-    flags: &Flags,
-) -> Result<MaxPowerEstimate, Box<dyn std::error::Error>> {
-    let mut budget = RunBudget::none();
-    if let Some(secs) = flags.deadline {
-        budget = budget.with_deadline(Duration::from_secs_f64(secs));
-    }
-    if let Some(n) = flags.hyper_budget {
-        budget = budget.with_max_hyper_samples(n);
-    }
-    if let Some(secs) = flags.stall_timeout {
-        budget = budget.with_stall_timeout(Duration::from_secs_f64(secs));
-    }
-    let opts = RunOptions::default()
-        .seeded(flags.seed)
-        .workers(flags.workers)
-        .cancel_token(signals::install())
-        .budget(budget);
-    let Some(path) = &flags.checkpoint else {
-        return Ok(session.run(factory, opts)?);
-    };
-    let resume = match load_with_recovery(path, Checkpoint::from_json)? {
+/// Loads `--checkpoint FILE` strictly: a file that neither it nor its
+/// `.bak` rotation can rescue is an error, and a backup recovery is
+/// reported. `None` when neither file exists (a fresh run).
+fn load_checkpoint(path: &str) -> Result<Option<Checkpoint>, Box<dyn std::error::Error>> {
+    Ok(match load_with_recovery(path, Checkpoint::from_json)? {
         Some((cp, CheckpointSource::Primary)) => Some(cp),
         Some((cp, CheckpointSource::Backup)) => {
             status!(
@@ -594,25 +515,6 @@ fn run_to_completion<F: PowerSourceFactory>(
             Some(cp)
         }
         None => None,
-    };
-    if let Some(cp) = &resume {
-        status!(
-            "resuming from checkpoint `{path}` at {} hyper-samples",
-            cp.hyper_samples()
-        );
-    }
-    std::thread::scope(|scope| {
-        let writer = CheckpointWriter::spawn(scope, path);
-        let mut save = |cp: &Checkpoint| writer.offer(cp);
-        let mut opts = opts.save_with(&mut save);
-        if let Some(cp) = &resume {
-            opts = opts.resume(cp);
-        }
-        let outcome = session.run(factory, opts);
-        if let Err(e) = writer.finish() {
-            status!("warning: failed to persist checkpoint to `{path}`: {e}");
-        }
-        Ok(outcome?)
     })
 }
 
@@ -621,35 +523,20 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag} expects a number, got `{s}`"))
 }
 
-/// Parses a duration flag: a finite, non-negative number of seconds
-/// (`Duration::from_secs_f64` panics on anything else).
-fn parse_seconds(s: &str, flag: &str) -> Result<f64, String> {
-    let secs: f64 = parse_num(s, flag)?;
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(format!(
-            "{flag} expects a non-negative number of seconds, got `{s}`"
-        ));
-    }
-    Ok(secs)
+/// Parses a duration flag: a finite, non-negative number of seconds that
+/// a `Duration` can hold.
+fn parse_seconds(s: &str, flag: &str) -> Result<Duration, String> {
+    Duration::try_from_secs_f64(parse_num(s, flag)?)
+        .map_err(|_| format!("{flag} expects a non-negative number of seconds, got `{s}`"))
 }
 
-fn run_estimate(flags: &Flags, metric: Metric) -> Result<(), Box<dyn std::error::Error>> {
-    if flags.live && flags.json {
-        return Err(
-            "--live ndjson streams events on stdout and cannot be combined with --json \
-             (use --trace-file to capture events alongside a JSON report)"
-                .into(),
-        );
-    }
+/// `estimate` and `delay`: one supervised [`execute`] under the signal
+/// handler, with crash-safe checkpoint/resume when `--checkpoint` is set.
+fn run_estimate(flags: &mut Flags) -> Result<(), Box<dyn std::error::Error>> {
     let circuit = flags.load_circuit()?;
-    let generator = flags.generator()?;
-    let config = flags.estimation_config(0.05);
     let (telemetry, pipes) = flags.telemetry()?;
-    let session = EstimatorBuilder::new(config)
-        .telemetry(telemetry.clone())
-        .build();
 
-    let workers = flags.workers.get();
+    let workers = flags.spec.workers.get();
     if let Ok(available) = std::thread::available_parallelism() {
         if workers > available.get() {
             status!(
@@ -660,57 +547,49 @@ fn run_estimate(flags: &Flags, metric: Metric) -> Result<(), Box<dyn std::error:
         }
     }
 
-    let started = Instant::now();
-    let (estimate, metric_name, unit, kernel) = match metric {
-        Metric::Power => {
-            let source = SimulatorSource::new(
-                &circuit,
-                generator,
-                flags.delay_model,
-                PowerConfig::default(),
-            )
-            .with_kernel(flags.kernel);
-            let kernel = source.kernel();
-            (
-                run_to_completion(&session, &source, flags)?,
-                "max_power_mw",
-                "mW",
-                kernel,
-            )
-        }
-        Metric::Delay => {
-            // Packed kernels were already rejected in main's arg
-            // validation; the delay source is always scalar.
-            let source = DelaySource::new(&circuit, generator, flags.delay_model);
-            (
-                run_to_completion(&session, &source, flags)?,
-                "max_delay_units",
-                "delay units",
-                KernelMode::Scalar,
-            )
-        }
-    };
-    let wall_ms = 1e3 * started.elapsed().as_secs_f64();
-
-    // Make sure the trace file is complete (the run span's `span_end` is
-    // emitted as the estimator returns, after its internal flush) and the
-    // live consumers have drained before other output: `finish` closes the
+    let path = flags.checkpoint.as_deref();
+    let resume = path.map(load_checkpoint).transpose()?.flatten();
+    let run = execute(
+        &circuit,
+        &flags.spec,
+        Hooks {
+            telemetry: telemetry.clone(),
+            cancel: signals::install(),
+            budget: flags.budget,
+            resume: resume.as_ref(),
+            checkpoint: path,
+        },
+    )?;
+    if let (Some(path), Some(cp)) = (path, &resume) {
+        status!(
+            "resuming from checkpoint `{path}` at {} hyper-samples",
+            cp.hyper_samples()
+        );
+    }
+    if let (Some(path), Some(e)) = (path, &run.checkpoint_error) {
+        status!("warning: failed to persist checkpoint to `{path}`: {e}");
+    }
+    // The live consumers drain before other output: `finish` closes the
     // subscriber hub and joins the forwarder threads.
-    telemetry.flush();
     pipes.finish();
 
     if flags.json {
-        let host_parallelism = std::thread::available_parallelism()
-            .ok()
-            .map(NonZeroUsize::get);
-        let mut report = EstimateReport::new(circuit.name(), metric_name, &estimate)
-            .with_execution(workers, Some(wall_ms))
-            .with_kernel(kernel.as_str(), kernel.lanes(), host_parallelism);
+        let mut report = run.report;
         if telemetry.is_enabled() {
             report = report.with_telemetry(&telemetry.snapshot());
         }
         println!("{}", report.to_json());
     } else {
+        let (estimate, report) = (&run.estimate, &run.report);
+        let kernel = report
+            .kernel
+            .as_deref()
+            .expect("execute records the kernel");
+        let wall_ms = report.wall_ms.expect("execute records the wall time");
+        let unit = match flags.spec.metric {
+            Metric::Power => "mW",
+            Metric::Delay => "delay units",
+        };
         // Under --live, stdout is the NDJSON stream; the headline result
         // moves to stderr with the rest of the human-facing lines.
         let result = |line: String| {
@@ -723,7 +602,7 @@ fn run_estimate(flags: &Flags, metric: Metric) -> Result<(), Box<dyn std::error:
         result(format!(
             "{} {} ≈ {:.4} {unit} ±{:.1}% at {:.0}% confidence",
             circuit.name(),
-            metric_name,
+            report.metric,
             estimate.estimate_mw,
             100.0 * estimate.relative_error,
             100.0 * estimate.confidence,
@@ -797,20 +676,20 @@ fn run_estimate(flags: &Flags, metric: Metric) -> Result<(), Box<dyn std::error:
     Ok(())
 }
 
-fn run_average(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn run_average(flags: &mut Flags) -> Result<(), Box<dyn std::error::Error>> {
     let circuit = flags.load_circuit()?;
-    let generator = flags.generator()?;
+    let spec = &flags.spec;
     let mut source = SimulatorSource::new(
         &circuit,
-        generator,
-        flags.delay_model,
+        spec.generator()?,
+        spec.delay_model,
         PowerConfig::default(),
     );
-    let mut rng = SmallRng::seed_from_u64(flags.seed);
+    let mut rng = SmallRng::seed_from_u64(spec.seed);
     let est = estimate_average_power(
         &mut source,
-        flags.epsilon.unwrap_or(0.02),
-        flags.confidence,
+        spec.epsilon,
+        spec.confidence,
         100,
         5_000_000,
         &mut rng,
@@ -820,13 +699,13 @@ fn run_average(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         circuit.name(),
         est.mean_mw,
         100.0 * est.relative_error,
-        100.0 * flags.confidence,
+        100.0 * spec.confidence,
         est.units_used,
     );
     Ok(())
 }
 
-fn run_info(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn run_info(flags: &mut Flags) -> Result<(), Box<dyn std::error::Error>> {
     let circuit = flags.load_circuit()?;
     let stats = circuit.stats();
     println!("{}: {}", circuit.name(), stats);
@@ -840,12 +719,12 @@ fn run_info(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run_trace(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn run_trace(flags: &mut Flags) -> Result<(), Box<dyn std::error::Error>> {
     let circuit = flags.load_circuit()?;
-    let generator = flags.generator()?;
-    let mut rng = SmallRng::seed_from_u64(flags.seed);
-    let p1 = generator.generate(&mut rng, circuit.num_inputs());
-    let wave = mpe_sim::Waveform::capture(&circuit, &p1.v1, &p1.v2, flags.delay_model)?;
+    let spec = &flags.spec;
+    let mut rng = SmallRng::seed_from_u64(spec.seed);
+    let p1 = spec.generator()?.generate(&mut rng, circuit.num_inputs());
+    let wave = mpe_sim::Waveform::capture(&circuit, &p1.v1, &p1.v2, spec.delay_model)?;
     status!(
         "traced 1 vector pair: {} transitions, settle time {} units; glitchiest nodes:",
         wave.transitions().len(),
@@ -858,7 +737,7 @@ fn run_trace(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run_generate(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn run_generate(flags: &mut Flags) -> Result<(), Box<dyn std::error::Error>> {
     let circuit = flags.load_circuit()?;
     print!("{}", bench_format::write(&circuit));
     Ok(())

@@ -1,0 +1,146 @@
+//! The one execution path behind both deployment fronts.
+//!
+//! `mpe estimate`/`mpe delay` parse their flags into a [`JobSpec`] and
+//! `POST /jobs` parses its body into one; both then call [`execute`],
+//! which builds the session and the power or delay source, runs it under
+//! the front's supervision and assembles the [`EstimateReport`]. A served
+//! report is therefore byte-identical to the CLI's for the same spec by
+//! construction, up to what each front adds afterwards (the CLI's
+//! telemetry block, the daemon's job provenance and the volatile
+//! `wall_ms`).
+
+use std::num::NonZeroUsize;
+use std::time::Instant;
+
+use mpe_netlist::Circuit;
+use mpe_sim::{KernelMode, PowerConfig};
+use mpe_telemetry::Telemetry;
+
+use crate::checkpoint::{Checkpoint, CheckpointWriter};
+use crate::delay::DelaySource;
+use crate::error::MaxPowerError;
+use crate::estimator::MaxPowerEstimate;
+use crate::report::EstimateReport;
+use crate::serve::jobs::{JobSpec, Metric};
+use crate::session::{EstimatorBuilder, RunOptions, Session};
+use crate::source::{PowerSourceFactory, SimulatorSource};
+use crate::supervise::{CancelToken, RunBudget};
+
+/// How one run is observed and supervised: everything about a run that
+/// is not part of the request. Each front fills in its own.
+pub struct Hooks<'a> {
+    /// The handle the session emits through (a disabled handle costs
+    /// nothing and leaves the estimate bit-identical).
+    pub telemetry: Telemetry,
+    /// Trips a graceful stop with a valid partial result.
+    pub cancel: CancelToken,
+    /// Deadline, hyper-sample budget and stall watchdog.
+    pub budget: RunBudget,
+    /// A checkpoint the front has already loaded; the run resumes from it
+    /// or fails with [`MaxPowerError::CheckpointMismatch`].
+    pub resume: Option<&'a Checkpoint>,
+    /// Where to save a checkpoint after every committed hyper-sample, on
+    /// a latest-wins [`CheckpointWriter`] that lands the final one before
+    /// [`execute`] returns.
+    pub checkpoint: Option<&'a str>,
+}
+
+/// What one run produced.
+#[derive(Debug)]
+pub struct Execution {
+    /// The estimate itself.
+    pub estimate: MaxPowerEstimate,
+    /// The report both fronts serialise, without telemetry or job
+    /// provenance.
+    pub report: EstimateReport,
+    /// The first error met saving a checkpoint, if any. Saving is
+    /// best-effort: the estimate stands either way.
+    pub checkpoint_error: Option<std::io::Error>,
+}
+
+/// Runs `spec` on `circuit`: the estimation configuration, vector-pair
+/// generator, source and kernel all come from the spec.
+///
+/// # Errors
+///
+/// [`MaxPowerError::InvalidConfig`] for an out-of-domain activity or
+/// estimation parameter (fronts reject both earlier, with
+/// [`JobSpec::validate_parameters`]), and everything [`Session::run`] can
+/// raise.
+pub fn execute(
+    circuit: &Circuit,
+    spec: &JobSpec,
+    hooks: Hooks<'_>,
+) -> Result<Execution, MaxPowerError> {
+    let generator = spec
+        .generator()
+        .map_err(|e| MaxPowerError::InvalidConfig { message: e.message })?;
+    let session = EstimatorBuilder::new(spec.estimation_config())
+        .telemetry(hooks.telemetry.clone())
+        .build();
+    let started = Instant::now();
+    let ((estimate, checkpoint_error), metric, kernel) = match spec.metric {
+        Metric::Power => {
+            let source =
+                SimulatorSource::new(circuit, generator, spec.delay_model, PowerConfig::default())
+                    .with_kernel(spec.kernel);
+            let kernel = source.kernel();
+            (
+                run(&session, &source, spec, &hooks)?,
+                "max_power_mw",
+                kernel,
+            )
+        }
+        // The delay source is always scalar; validation rejects a packed
+        // kernel for this metric.
+        Metric::Delay => {
+            let source = DelaySource::new(circuit, generator, spec.delay_model);
+            (
+                run(&session, &source, spec, &hooks)?,
+                "max_delay_units",
+                KernelMode::Scalar,
+            )
+        }
+    };
+    let wall_ms = 1e3 * started.elapsed().as_secs_f64();
+    // The run span's `span_end` is emitted as the estimator returns;
+    // flushing makes every sink complete before the report is assembled.
+    hooks.telemetry.flush();
+    let host_parallelism = std::thread::available_parallelism()
+        .ok()
+        .map(NonZeroUsize::get);
+    let report = EstimateReport::new(circuit.name(), metric, &estimate)
+        .with_execution(spec.workers.get(), Some(wall_ms))
+        .with_kernel(kernel.as_str(), kernel.lanes(), host_parallelism);
+    Ok(Execution {
+        estimate,
+        report,
+        checkpoint_error,
+    })
+}
+
+fn run<F: PowerSourceFactory>(
+    session: &Session,
+    factory: &F,
+    spec: &JobSpec,
+    hooks: &Hooks<'_>,
+) -> Result<(MaxPowerEstimate, Option<std::io::Error>), MaxPowerError> {
+    let mut opts = RunOptions::default()
+        .seeded(spec.seed)
+        .workers(spec.workers)
+        .cancel_token(hooks.cancel.clone())
+        .budget(hooks.budget);
+    if let Some(cp) = hooks.resume {
+        opts = opts.resume(cp);
+    }
+    let Some(path) = hooks.checkpoint else {
+        return Ok((session.run(factory, opts)?, None));
+    };
+    std::thread::scope(|scope| {
+        let writer = CheckpointWriter::spawn(scope, path);
+        let mut save = |cp: &Checkpoint| writer.offer(cp);
+        let outcome = session.run(factory, opts.save_with(&mut save));
+        let saved = writer.finish();
+        Ok((outcome?, saved.err()))
+    })
+}

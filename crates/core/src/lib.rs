@@ -76,6 +76,7 @@ pub mod delay;
 pub(crate) mod engine;
 pub mod error;
 pub mod estimator;
+pub mod execute;
 pub mod fault;
 pub mod health;
 pub mod hyper;
@@ -94,11 +95,13 @@ pub use config::{BiasCorrection, EstimationConfig, FallbackPolicy, SamplePolicy}
 pub use delay::DelaySource;
 pub use error::{AppError, FailureKind, MaxPowerError};
 pub use estimator::{EstimateHistoryEntry, MaxPowerEstimate};
+pub use execute::{execute, Execution, Hooks};
 pub use fault::{FaultConfig, FaultInjectingSource, FaultStats};
 pub use health::{EstimatorKind, HyperHealth, RunHealth, RunStatus};
 pub use hyper::{generate_hyper_sample, HyperSample, HyperSampleContext};
 pub use quantile_baseline::{quantile_baseline_estimate, QuantileEstimate};
 pub use report::{CounterValue, EstimateReport, JobProvenance, PhaseTiming, TelemetrySummary};
+pub use serve::jobs::{JobSpec, Metric};
 pub use session::{EstimatorBuilder, RunOptions, Session};
 
 // Re-exported so downstream users can drive telemetry without naming the

@@ -1,13 +1,11 @@
 //! Job specs, job lifecycle state and the bounded job engine behind
 //! `mpe serve`.
 //!
-//! A [`JobSpec`] mirrors the CLI's estimation knobs field-for-field, and
-//! the runner executes it through exactly the code path `mpe estimate
-//! --json` uses — same [`EstimationConfig::for_deployment`] construction,
-//! same source/kernel wiring, same report assembly — so a served report
-//! is byte-identical to the CLI's for the same seed and configuration
-//! (modulo the declared-volatile `wall_ms` and the server-only `job`
-//! provenance block).
+//! A [`JobSpec`] is the one request type: `mpe estimate` parses its flags
+//! into one and `POST /jobs` parses its body into one, and both run it
+//! through [`execute`], so a served report is byte-identical to the CLI's
+//! for the same spec (modulo the declared-volatile `wall_ms` and the
+//! server-only `job` provenance block).
 //!
 //! The engine is a bounded FIFO queue in front of a fixed pool of runner
 //! threads. Submission is admission-controlled: a full queue refuses the
@@ -27,20 +25,19 @@ use std::thread::JoinHandle;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use mpe_netlist::Iscas85;
-use mpe_sim::{DelayModel, KernelMode, PowerConfig};
+use mpe_sim::{DelayModel, KernelMode};
 use mpe_vectors::PairGenerator;
 
-use crate::checkpoint::{load_with_recovery, save_atomic, CheckpointWriter};
+use crate::checkpoint::{load_with_recovery, save_atomic};
 use crate::config::{EstimationConfig, SamplePolicy};
-use crate::error::AppError;
-use crate::report::{EstimateReport, JobProvenance};
+use crate::error::{AppError, MaxPowerError};
+use crate::execute::{execute, Hooks};
+use crate::report::JobProvenance;
 use crate::serve::cache::CircuitCache;
 use crate::serve::json::{self, Encode, Json, JsonWriter};
-use crate::session::{EstimatorBuilder, RunOptions, Session};
-use crate::source::{PowerSourceFactory, SimulatorSource};
-use crate::supervise::CancelToken;
+use crate::supervise::{CancelToken, RunBudget};
 use crate::telemetry::{SubscriberHub, SubscriberSink, Telemetry, DEFAULT_SUBSCRIBER_CAPACITY};
-use crate::{Checkpoint, DelaySource, MaxPowerEstimate};
+use crate::Checkpoint;
 
 /// Which extreme statistic a job estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,21 +48,8 @@ pub enum Metric {
     Delay,
 }
 
-/// The usage error both deployment surfaces emit for a kernel/metric
-/// combination no kernel implements. Shared verbatim between the CLI
-/// (exit code 3) and the job API (HTTP 422) so the two fronts describe
-/// the failure in the same words.
-#[must_use]
-pub fn kernel_usage_error(kernel: KernelMode) -> AppError {
-    AppError::unsupported(format!(
-        "the delay metric is measured on the scalar event engine; \
-         `--kernel {kernel}` applies to power estimation only \
-         (drop the flag or use `--kernel auto`)"
-    ))
-}
-
-/// One job's estimation parameters: the CLI's flags as JSON fields, with
-/// the CLI's defaults.
+/// One estimation request: the `mpe estimate`/`mpe delay` flags and the
+/// `POST /jobs` fields, with one set of defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// ISCAS85 profile for the synthetic stand-in (`--circuit`).
@@ -212,15 +196,12 @@ impl JobSpec {
             seed: u64_field("seed", defaults.seed)?,
             workers: NonZeroUsize::MIN,
             delay_model: match str_field("delay_model")? {
-                None | Some("unit") => DelayModel::Unit,
-                Some("zero") => DelayModel::Zero,
-                Some("fanout") => DelayModel::fanout_default(),
-                Some(other) => {
-                    return Err(AppError::usage(format!("unknown delay model `{other}`")))
-                }
+                None => defaults.delay_model,
+                Some(name) => DelayModel::parse(name)
+                    .ok_or_else(|| AppError::usage(format!("unknown delay model `{name}`")))?,
             },
             kernel: match str_field("kernel")? {
-                None => KernelMode::Auto,
+                None => defaults.kernel,
                 Some(name) => KernelMode::parse(name)
                     .ok_or_else(|| AppError::usage(format!("unknown kernel `{name}`")))?,
             },
@@ -232,7 +213,7 @@ impl JobSpec {
                 ),
             },
             sample_policy: match str_field("sample_policy")? {
-                None => SamplePolicy::Fail,
+                None => defaults.sample_policy,
                 Some(text) => SamplePolicy::parse(text).map_err(AppError::usage)?,
             },
         };
@@ -249,10 +230,8 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Usage-class for a missing/ambiguous circuit, an invalid activity or
-    /// an estimation parameter (`epsilon`, `confidence`, `population`)
-    /// outside [`EstimationConfig::validate`]'s domain; unsupported-class
-    /// for the delay-metric/packed-kernel combination.
+    /// Usage-class for a missing/ambiguous circuit, and everything
+    /// [`validate_parameters`](Self::validate_parameters) rejects.
     pub fn validate(&self) -> Result<(), AppError> {
         match (&self.circuit, &self.bench) {
             (None, None) => {
@@ -267,10 +246,28 @@ impl JobSpec {
             }
             _ => {}
         }
+        self.validate_parameters()
+    }
+
+    /// Validates everything but the circuit choice, which the CLI checks
+    /// over its own flags (a `--verilog` netlist has no spec field).
+    ///
+    /// # Errors
+    ///
+    /// Usage-class for an invalid activity or an estimation parameter
+    /// (`epsilon`, `confidence`, `population`) outside
+    /// [`EstimationConfig::validate`]'s domain; unsupported-class for the
+    /// delay-metric/packed-kernel combination.
+    pub fn validate_parameters(&self) -> Result<(), AppError> {
         if self.metric == Metric::Delay
             && matches!(self.kernel, KernelMode::Packed | KernelMode::Packed128)
         {
-            return Err(kernel_usage_error(self.kernel));
+            return Err(AppError::unsupported(format!(
+                "the delay metric is measured on the scalar event engine; \
+                 `--kernel {}` applies to power estimation only \
+                 (drop the flag or use `--kernel auto`)",
+                self.kernel
+            )));
         }
         self.estimation_config()
             .validate()
@@ -278,8 +275,8 @@ impl JobSpec {
         self.generator().map(|_| ())
     }
 
-    /// The vector-pair generator this spec implies (mirrors the CLI's
-    /// `--activity` handling, including validation).
+    /// The vector-pair generator this spec implies: uniform pairs, or
+    /// per-line switching at `activity`.
     ///
     /// # Errors
     ///
@@ -295,9 +292,8 @@ impl JobSpec {
         }
     }
 
-    /// The estimation configuration this spec implies — via the same
-    /// [`EstimationConfig::for_deployment`] constructor the CLI uses, so
-    /// the two surfaces cannot drift.
+    /// The estimation configuration this spec implies (the deployment
+    /// defaults of [`EstimationConfig::for_deployment`]).
     #[must_use]
     pub fn estimation_config(&self) -> EstimationConfig {
         EstimationConfig::for_deployment(
@@ -345,14 +341,7 @@ impl Encode for JobSpec {
         w.field("population", &self.population);
         w.field("seed", &self.seed);
         w.field("workers", &self.workers.get());
-        w.field(
-            "delay_model",
-            match self.delay_model {
-                DelayModel::Zero => "zero",
-                DelayModel::Unit => "unit",
-                DelayModel::FanoutProportional { .. } => "fanout",
-            },
-        );
+        w.field("delay_model", self.delay_model.as_str());
         w.field("kernel", self.kernel.as_str());
         if let Some(activity) = &self.activity {
             w.field("activity", activity);
@@ -958,7 +947,7 @@ fn run_one(shared: &EngineShared, job: &Arc<Job>) {
         st.queue_wait_ms = Some(queue_wait_ms);
         st.sink.take()
     };
-    let outcome = execute(shared, job, queue_wait_ms, sink);
+    let outcome = run_job(shared, job, queue_wait_ms, sink);
     let cancelled = job.cancel.is_cancelled();
     let phase = match (outcome, cancelled) {
         (Ok(report_json), false) => JobPhase::Done { report_json },
@@ -971,118 +960,52 @@ fn run_one(shared: &EngineShared, job: &Arc<Job>) {
     shared.finish(job, phase);
 }
 
-/// Executes one job through the CLI's exact estimation path and returns
-/// the report JSON. Kept in lockstep with `run_estimate` in
-/// `src/bin/mpe.rs` — the served-vs-CLI byte-identity test in
-/// `tests/serve.rs` fails if the two drift.
-fn execute(
+/// Runs one job and returns its report JSON. The spool checkpoint is
+/// best-effort: a torn or unparseable one, or one the engine refuses
+/// (older daemon, edited spool), degrades to a fresh run, which
+/// determinism lands on the identical result.
+fn run_job(
     shared: &EngineShared,
     job: &Arc<Job>,
     queue_wait_ms: f64,
     sink: Option<SubscriberSink>,
 ) -> Result<String, AppError> {
-    let spec = &job.spec;
-    let circuit = shared.resolve_circuit(spec)?;
-    let generator = spec.generator()?;
-    let config = spec.estimation_config();
+    let circuit = shared.resolve_circuit(&job.spec)?;
     let telemetry = Telemetry::enabled();
     if let Some(sink) = sink {
         telemetry.add_sink(Box::new(sink));
     }
-    let session = EstimatorBuilder::new(config)
-        .telemetry(telemetry.clone())
-        .build();
     let ckpt = shared
         .spool_file(&job.id, "ckpt")
         .map(|p| p.to_string_lossy().into_owned());
-    let started = Instant::now();
-    let (estimate, metric_name, kernel) = match spec.metric {
-        Metric::Power => {
-            let source = SimulatorSource::new(
-                &circuit,
-                generator,
-                spec.delay_model,
-                PowerConfig::default(),
-            )
-            .with_kernel(spec.kernel);
-            let kernel = source.kernel();
-            (
-                supervised_run(&session, &source, job, ckpt.as_deref())?,
-                "max_power_mw",
-                kernel,
-            )
-        }
-        Metric::Delay => {
-            let source = DelaySource::new(&circuit, generator, spec.delay_model);
-            (
-                supervised_run(&session, &source, job, ckpt.as_deref())?,
-                "max_delay_units",
-                KernelMode::Scalar,
-            )
-        }
-    };
-    let wall_ms = 1e3 * started.elapsed().as_secs_f64();
-    telemetry.flush();
-    let host_parallelism = std::thread::available_parallelism()
-        .ok()
-        .map(NonZeroUsize::get);
-    // Identical assembly to the CLI's `--json` branch, plus the
-    // server-only provenance block. No telemetry block: the daemon's
-    // always-on event ring is a transport detail, and attaching the
-    // snapshot would break byte-identity with a plain CLI run.
-    let report = EstimateReport::new(circuit.name(), metric_name, &estimate)
-        .with_execution(spec.workers.get(), Some(wall_ms))
-        .with_kernel(kernel.as_str(), kernel.lanes(), host_parallelism)
-        .with_job(JobProvenance {
-            job_id: job.id.clone(),
-            submitted_unix_ms: job.submitted_unix_ms,
-            queue_wait_ms,
-        });
-    Ok(report.to_json())
-}
-
-fn supervised_run<F: PowerSourceFactory>(
-    session: &Session,
-    factory: &F,
-    job: &Arc<Job>,
-    ckpt: Option<&str>,
-) -> Result<MaxPowerEstimate, AppError> {
-    let opts = || {
-        RunOptions::default()
-            .seeded(job.spec.seed)
-            .workers(job.spec.workers)
-            .cancel_token(job.cancel.clone())
-    };
-    let Some(path) = ckpt else {
-        return Ok(session.run(factory, opts())?);
-    };
-    // A torn or unparseable checkpoint degrades to a fresh run:
-    // determinism lands the rerun on the identical result, just without
-    // the saved head start.
-    let resume = load_with_recovery(path, Checkpoint::from_json)
-        .ok()
-        .flatten()
+    let resume = ckpt
+        .as_deref()
+        .and_then(|path| {
+            load_with_recovery(path, Checkpoint::from_json)
+                .ok()
+                .flatten()
+        })
         .map(|(cp, _)| cp);
-    std::thread::scope(|scope| {
-        let writer = CheckpointWriter::spawn(scope, path);
-        let mut save = |cp: &Checkpoint| writer.offer(cp);
-        let mut first = opts().save_with(&mut save);
-        if let Some(cp) = &resume {
-            first = first.resume(cp);
-        }
-        let outcome = match session.run(factory, first) {
-            // A checkpoint the engine itself rejects (old daemon version,
-            // edited spool) should not kill the job either: rerun clean.
-            Err(crate::MaxPowerError::CheckpointMismatch { .. }) => {
-                session.run(factory, opts().save_with(&mut save))
-            }
-            outcome => outcome,
-        };
-        // Spool writes are best-effort, but the last checkpoint lands
-        // before the runner records the job's terminal state.
-        let _ = writer.finish();
-        Ok(outcome?)
-    })
+    let hooks = |resume| Hooks {
+        telemetry: telemetry.clone(),
+        cancel: job.cancel.clone(),
+        budget: RunBudget::none(),
+        resume,
+        checkpoint: ckpt.as_deref(),
+    };
+    let run = match execute(&circuit, &job.spec, hooks(resume.as_ref())) {
+        Err(MaxPowerError::CheckpointMismatch { .. }) => execute(&circuit, &job.spec, hooks(None)),
+        run => run,
+    }?;
+    // No telemetry block: the daemon's always-on event ring is a
+    // transport detail, and attaching the snapshot would break
+    // byte-identity with a plain CLI run.
+    let report = run.report.with_job(JobProvenance {
+        job_id: job.id.clone(),
+        submitted_unix_ms: job.submitted_unix_ms,
+        queue_wait_ms,
+    });
+    Ok(report.to_json())
 }
 
 #[cfg(test)]
@@ -1095,8 +1018,15 @@ mod tests {
     }
 
     #[test]
-    fn spec_defaults_mirror_the_cli() {
+    fn spec_defaults_are_pinned() {
         let spec = spec_from(r#"{"circuit":"C432"}"#).expect("minimal spec parses");
+        assert_eq!(
+            spec,
+            JobSpec {
+                circuit: Some(Iscas85::C432),
+                ..JobSpec::default()
+            }
+        );
         assert_eq!(spec.gen_seed, 7);
         assert_eq!(spec.epsilon, 0.05);
         assert_eq!(spec.confidence, 0.90);

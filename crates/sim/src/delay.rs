@@ -41,6 +41,27 @@ impl DelayModel {
         }
     }
 
+    /// Parses a CLI-style delay-model name; `fanout` is
+    /// [`DelayModel::fanout_default`].
+    pub fn parse(s: &str) -> Option<DelayModel> {
+        match s {
+            "zero" => Some(DelayModel::Zero),
+            "unit" => Some(DelayModel::Unit),
+            "fanout" => Some(DelayModel::fanout_default()),
+            _ => None,
+        }
+    }
+
+    /// The name [`DelayModel::parse`] accepts for this model (every
+    /// fanout-proportional model is `fanout`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DelayModel::Zero => "zero",
+            DelayModel::Unit => "unit",
+            DelayModel::FanoutProportional { .. } => "fanout",
+        }
+    }
+
     /// Delay of `node` under this model, in abstract time units.
     ///
     /// Zero-delay returns 0 for every gate (the engine special-cases the
@@ -110,5 +131,17 @@ mod tests {
         assert_eq!(DelayModel::Zero.to_string(), "zero-delay");
         assert_eq!(DelayModel::Unit.to_string(), "unit-delay");
         assert!(DelayModel::fanout_default().to_string().contains("base=2"));
+    }
+
+    #[test]
+    fn names_roundtrip() {
+        for model in [
+            DelayModel::Zero,
+            DelayModel::Unit,
+            DelayModel::fanout_default(),
+        ] {
+            assert_eq!(DelayModel::parse(model.as_str()), Some(model));
+        }
+        assert_eq!(DelayModel::parse("fast"), None);
     }
 }

@@ -165,6 +165,46 @@ fn hyper_budget_interrupts_and_resume_completes_identically() {
 }
 
 #[test]
+fn checkpoint_from_another_seed_is_refused_and_left_untouched() {
+    let dir = std::env::temp_dir().join("mpe_cli_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("c432_seed.ckpt");
+    let path = path.to_str().expect("utf8 path");
+    let backup = format!("{path}.bak");
+    for stale in [path, &backup] {
+        let _ = std::fs::remove_file(stale);
+    }
+    let base = ["estimate", "--circuit", "C432", "--epsilon", "0.15"];
+    let (ok, _, stderr) = run(&[&base[..], &["--seed", "42", "--checkpoint", path]].concat());
+    assert!(ok, "{stderr}");
+    let read = |p: &str| std::fs::read(p).ok();
+    let before = (read(path), read(&backup));
+    assert!(before.0.is_some(), "checkpoint written");
+
+    let out = mpe()
+        .args(base)
+        .args(["--seed", "43", "--checkpoint", path])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("master seed 42 != requested 43"),
+        "{stderr}"
+    );
+    // Nothing was resumed, so nothing may claim it was.
+    assert!(!stderr.contains("resuming from checkpoint"), "{stderr}");
+    assert_eq!(
+        (read(path), read(&backup)),
+        before,
+        "checkpoint files changed"
+    );
+    for stale in [path, &backup] {
+        let _ = std::fs::remove_file(stale);
+    }
+}
+
+#[test]
 fn unwritable_checkpoint_warns_but_still_reports() {
     let dir = std::env::temp_dir().join("mpe_cli_test");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -329,19 +369,78 @@ fn trace_emits_vcd() {
 fn out_of_domain_estimation_parameters_are_usage_errors() {
     // Spec mistakes exit 2, like flag-parse errors, and name the violated
     // constraint — the same message `POST /jobs` returns as a 400.
-    for (flag, value, needle) in [
-        ("--epsilon", "2", "relative_error must be in (0, 1)"),
-        ("--confidence", "1.5", "confidence must be in (0, 1)"),
-        ("--population", "1", "finite_population must be at least 2"),
+    for (args, needle) in [
+        (
+            &["estimate", "--epsilon", "2"][..],
+            "relative_error must be in (0, 1)",
+        ),
+        (
+            &["estimate", "--confidence", "1.5"],
+            "confidence must be in (0, 1)",
+        ),
+        (
+            &["estimate", "--population", "1"],
+            "finite_population must be at least 2",
+        ),
+        (&["estimate", "--activity", "1.5"], "activity=1.5"),
+        (
+            &["estimate", "--json", "--live", "ndjson"],
+            "cannot be combined with --json",
+        ),
+        (
+            &["estimate", "--deadline", "1e300"],
+            "non-negative number of seconds",
+        ),
+        (
+            &["average", "--epsilon", "5"],
+            "relative_error must be in (0, 1)",
+        ),
     ] {
         let out = mpe()
-            .args(["estimate", "--circuit", "C432", flag, value])
+            .args(&args[..1])
+            .args(["--circuit", "C432"])
+            .args(&args[1..])
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("error[usage]"), "{stderr}");
         assert!(stderr.contains(needle), "{stderr}");
+    }
+}
+
+#[test]
+fn conflicting_circuit_flags_are_usage_errors() {
+    // Rejected while parsing, before any file is read, so the named
+    // netlists need not exist.
+    for (command, flags, pair) in [
+        (
+            "info",
+            ["--circuit", "C880", "--bench", "c432.bench"],
+            "`--circuit` and `--bench`",
+        ),
+        (
+            "estimate",
+            ["--circuit", "C432", "--verilog", "c432.v"],
+            "`--circuit` and `--verilog`",
+        ),
+        (
+            "generate",
+            ["--bench", "c432.bench", "--verilog", "c432.v"],
+            "`--bench` and `--verilog`",
+        ),
+    ] {
+        let out = mpe()
+            .arg(command)
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error[usage]: {pair} are mutually exclusive")),
+            "{stderr}"
+        );
     }
 }
 

@@ -9,7 +9,10 @@
 //! * bounded-queue backpressure: a full queue refuses submissions with
 //!   HTTP 429 and a structured error body;
 //! * crash-safe spooling: a SIGKILLed daemon restarted on the same spool
-//!   re-runs the lost job to completion.
+//!   re-runs the lost job to completion, also when its checkpoint is
+//!   garbage or from another seed;
+//! * one failure surface: a bad request gets the same error kind and
+//!   message from `POST /jobs` as from the CLI.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -151,20 +154,25 @@ fn normalized(report: &str) -> String {
 /// `mpe estimate --json` for C432 at ε = 0.2 under `seed`: the reference
 /// every served report is compared against.
 fn cli_report(seed: &str) -> String {
-    let out = mpe()
-        .args([
-            "estimate",
-            "--circuit",
-            "C432",
-            "--epsilon",
-            "0.2",
-            "--seed",
-            seed,
-            "--json",
-        ])
-        .output()
-        .expect("cli runs");
-    assert!(out.status.success());
+    cli_json(&[
+        "estimate",
+        "--circuit",
+        "C432",
+        "--epsilon",
+        "0.2",
+        "--seed",
+        seed,
+    ])
+}
+
+/// The `--json` report of a CLI run with `args`.
+fn cli_json(args: &[&str]) -> String {
+    let out = mpe().args(args).arg("--json").output().expect("cli runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     String::from_utf8(out.stdout).expect("utf-8 report")
 }
 
@@ -295,5 +303,170 @@ fn full_range_seed_matches_the_cli() {
     let (status, served) = daemon.get("/jobs/j000001/report");
     assert_eq!(status, 200);
     assert_eq!(normalized(&served), normalized(&cli_report(&seed)));
+    daemon.shutdown();
+}
+
+/// A spec beyond the defaults — delay metric, fanout delays, biased
+/// activity, infinite population, a skip policy and two workers — serves
+/// the same report as `mpe delay` with the same flags.
+#[test]
+fn non_default_spec_matches_the_cli() {
+    let dir = temp_dir("non_default_spec");
+    let daemon = Daemon::start(&dir, &[]);
+    let (status, body) = daemon.post(
+        "/jobs",
+        r#"{"circuit":"C432","metric":"delay","delay_model":"fanout","activity":0.3,
+            "population":0,"sample_policy":"skip:50","workers":2,"epsilon":0.2,"seed":42}"#,
+    );
+    assert_eq!(status, 202, "{body}");
+    daemon.await_status("j000001", "done");
+    let (status, served) = daemon.get("/jobs/j000001/report");
+    assert_eq!(status, 200);
+    let cli = cli_json(&[
+        "delay",
+        "--circuit",
+        "C432",
+        "--delay-model",
+        "fanout",
+        "--activity",
+        "0.3",
+        "--population",
+        "0",
+        "--sample-policy",
+        "skip:50",
+        "--workers",
+        "2",
+        "--epsilon",
+        "0.2",
+        "--seed",
+        "42",
+    ]);
+    assert!(cli.contains("\"metric\": \"max_delay_units\""), "{cli}");
+    assert_eq!(normalized(&served), normalized(&cli));
+    daemon.shutdown();
+}
+
+/// The same bad request is refused with the same error kind and message
+/// on both fronts: 400 ↔ exit 2, 422 ↔ exit 3.
+#[test]
+fn bad_requests_fail_alike_on_both_fronts() {
+    let dir = temp_dir("bad_requests");
+    let daemon = Daemon::start(&dir, &[]);
+    for (body, args) in [
+        (
+            r#"{"circuit":"C432","epsilon":2}"#,
+            &["estimate", "--epsilon", "2"][..],
+        ),
+        (
+            r#"{"circuit":"C432","confidence":1.5}"#,
+            &["estimate", "--confidence", "1.5"],
+        ),
+        (
+            r#"{"circuit":"C432","population":1}"#,
+            &["estimate", "--population", "1"],
+        ),
+        (
+            r#"{"circuit":"C432","activity":1.5}"#,
+            &["estimate", "--activity", "1.5"],
+        ),
+        (
+            r#"{"circuit":"C432","sample_policy":"skip:x"}"#,
+            &["estimate", "--sample-policy", "skip:x"],
+        ),
+        (
+            r#"{"circuit":"C432","kernel":"frob"}"#,
+            &["estimate", "--kernel", "frob"],
+        ),
+        (
+            r#"{"circuit":"C432","delay_model":"fast"}"#,
+            &["estimate", "--delay-model", "fast"],
+        ),
+        (
+            r#"{"circuit":"C432","metric":"delay","kernel":"packed"}"#,
+            &["delay", "--kernel", "packed"],
+        ),
+        (r#"{"circuit":"C9999"}"#, &["estimate"]),
+    ] {
+        let (status, served) = daemon.post("/jobs", body);
+        let error = maxpower::serve::json::parse(&served).expect("error body parses");
+        let field = |key: &str| {
+            error
+                .get("error")
+                .and_then(|e| e.get(key))
+                .and_then(|v| v.as_str())
+                .unwrap_or_else(|| panic!("{body}: no error.{key} in {served}"))
+                .to_string()
+        };
+        let (kind, message) = (field("kind"), field("message"));
+        // The CLI names the same circuit the request body does.
+        let request = maxpower::serve::json::parse(body).expect("request parses");
+        let circuit = request
+            .get("circuit")
+            .and_then(|v| v.as_str())
+            .expect("every row names a circuit");
+        let out = mpe()
+            .args(&args[..1])
+            .args(["--circuit", circuit])
+            .args(&args[1..])
+            .output()
+            .expect("cli runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let code = match status {
+            400 => 2,
+            422 => 3,
+            other => panic!("{body}: HTTP {other}: {served}"),
+        };
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error[{kind}]: {message}\n")),
+            "{args:?} printed\n{stderr}\nbut {body} got {served}"
+        );
+    }
+    daemon.shutdown();
+}
+
+/// A spool checkpoint the daemon cannot use — garbage bytes, or a valid
+/// checkpoint from another seed — costs the job its head start, never its
+/// result: after a restart both jobs finish with the CLI's report.
+#[test]
+fn unusable_spool_checkpoints_rerun_to_the_cli_report() {
+    let dir = temp_dir("unusable_checkpoints");
+    let spool = dir.join("spool");
+    std::fs::create_dir_all(&spool).expect("spool dir");
+    for id in ["j000001", "j000002"] {
+        std::fs::write(
+            spool.join(format!("{id}.spec.json")),
+            format!(
+                r#"{{"id":"{id}","submitted_unix_ms":0,"spec":{{"circuit":"C432","epsilon":0.2,"seed":42}}}}"#
+            ),
+        )
+        .expect("spool spec written");
+    }
+    std::fs::write(spool.join("j000001.ckpt"), "{not a checkpoint").expect("garbage written");
+    let other_seed = spool.join("j000002.ckpt");
+    cli_json(&[
+        "estimate",
+        "--circuit",
+        "C432",
+        "--epsilon",
+        "0.2",
+        "--seed",
+        "7",
+        "--checkpoint",
+        other_seed.to_str().expect("utf-8 path"),
+    ]);
+    let text = std::fs::read_to_string(&other_seed).expect("checkpoint written");
+    let cp = maxpower::Checkpoint::from_json(&text).expect("a valid checkpoint");
+    assert_eq!(cp.master_seed, 7);
+
+    let spool_arg = spool.to_str().expect("utf-8 path");
+    let daemon = Daemon::start(&dir, &["--spool", spool_arg]);
+    let reference = normalized(&cli_report("42"));
+    for id in ["j000001", "j000002"] {
+        daemon.await_status(id, "done");
+        let (status, served) = daemon.get(&format!("/jobs/{id}/report"));
+        assert_eq!(status, 200);
+        assert_eq!(normalized(&served), reference, "job {id}");
+    }
     daemon.shutdown();
 }
