@@ -1,7 +1,8 @@
 //! Golden-file tests for the two human-facing renderings of the metrics
-//! registry: the Prometheus-style text exposition and the summary table.
-//! Both are rendered from a fixed, hand-written event sequence (explicit
-//! `elapsed_ns`, no clocks), so the expected output is byte-stable.
+//! registry — the Prometheus-style text exposition and the summary table —
+//! and for the JSONL trace wire format. All are rendered from fixed,
+//! hand-written events (explicit `elapsed_ns`, no clocks), so the expected
+//! output is byte-stable.
 //!
 //! To regenerate after an intentional format change:
 //!
@@ -89,4 +90,79 @@ fn summary_table_matches_golden_file() {
         "golden/summary.txt",
         include_str!("golden/summary.txt"),
     );
+}
+
+/// One trace line per event kind, covering a `worker` stamp, a non-finite
+/// gauge, `fit_diag` with and without diagnostics, and a name that needs
+/// every kind of string escape.
+fn fixture_trace() -> Vec<EventRecord> {
+    let kinds = [
+        EventKind::SpanStart {
+            span: SpanKind::HyperSample,
+            id: 3,
+        },
+        EventKind::Counter {
+            name: "quote\" backslash\\ newline\n tab\t ctrl\u{1}".to_string(),
+            delta: 300,
+        },
+        EventKind::Gauge {
+            name: names::CI_RELATIVE_HALF_WIDTH.to_string(),
+            value: f64::INFINITY,
+        },
+        EventKind::Gauge {
+            name: names::RUNNING_MEAN_MW.to_string(),
+            value: 9.875,
+        },
+        EventKind::FitDiag {
+            k: 1,
+            rung: "mle".to_string(),
+            reason: "converged".to_string(),
+            log_likelihood: Some(-1.25),
+            ks_distance: Some(0.1875),
+            tail_shape: Some(3.5),
+        },
+        EventKind::FitDiag {
+            k: 2,
+            rung: "quantile".to_string(),
+            reason: "no_convergence".to_string(),
+            log_likelihood: None,
+            ks_distance: None,
+            tail_shape: None,
+        },
+        EventKind::SpanEnd {
+            span: SpanKind::HyperSample,
+            id: 3,
+            elapsed_ns: 55_000,
+        },
+    ];
+    kinds
+        .into_iter()
+        .zip(0u64..)
+        .map(|(kind, seq)| EventRecord {
+            seq,
+            t_ns: 1_000 * seq + 7,
+            worker: (seq == 0 || seq == 4 || seq == 6).then_some(2),
+            kind,
+        })
+        .collect()
+}
+
+#[test]
+fn trace_lines_match_golden_file() {
+    let rendered: String = fixture_trace()
+        .iter()
+        .map(|r| r.to_json_line() + "\n")
+        .collect();
+    assert_matches_golden(
+        &rendered,
+        "golden/trace.jsonl",
+        include_str!("golden/trace.jsonl"),
+    );
+    for (line, record) in rendered.lines().zip(fixture_trace()) {
+        assert_eq!(
+            EventRecord::parse_json_line(line).as_ref(),
+            Ok(&record),
+            "{line}"
+        );
+    }
 }
