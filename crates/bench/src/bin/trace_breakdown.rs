@@ -50,6 +50,7 @@ use mpe_sim::{
     simulate_population_kernel, CycleReport, DelayModel, KernelMode, PackedSimulator, PowerConfig,
     PowerSimulator,
 };
+use mpe_telemetry::json::{Encode, JsonWriter};
 use mpe_telemetry::{names, replay, JsonlSink, SpanKind, Telemetry, TraceSummary};
 use mpe_vectors::{PairGenerator, VectorPair};
 use rand::rngs::SmallRng;
@@ -158,8 +159,7 @@ fn run_parallel_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>> 
         );
         rows.push(row);
     }
-    // Hand-rolled JSON: the schema is a handful of scalars per row.
-    std::fs::write(out_path, render_smoke_json(host, &rows))?;
+    std::fs::write(out_path, render_bench_json("parallel_smoke", host, &rows))?;
     println!("wrote {out_path}");
     if rows.iter().any(|r| !r.identical) {
         return Err("parallel estimate diverged from sequential".into());
@@ -167,30 +167,37 @@ fn run_parallel_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>> 
     Ok(())
 }
 
-fn render_smoke_json(host: usize, rows: &[SmokeRow]) -> String {
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"circuit\": \"{}\", \"workers\": {SMOKE_WORKERS}, \
-                 \"sequential_s\": {:.6}, \"parallel_s\": {:.6}, \
-                 \"speedup\": {:.3}, \"hyper_samples\": {}, \
-                 \"units_used\": {}, \"identical\": {}}}",
-                r.circuit,
-                r.sequential_s,
-                r.parallel_s,
-                r.speedup(),
-                r.hyper_samples,
-                r.units_used,
-                r.identical,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"benchmark\": \"parallel_smoke\",\n  \"host_parallelism\": {host},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    )
+impl Encode for SmokeRow {
+    fn encode(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("circuit", &self.circuit);
+        w.field("workers", &SMOKE_WORKERS);
+        w.field("sequential_s", &round(self.sequential_s, 6));
+        w.field("parallel_s", &round(self.parallel_s, 6));
+        w.field("speedup", &round(self.speedup(), 3));
+        w.field("hyper_samples", &self.hyper_samples);
+        w.field("units_used", &self.units_used);
+        w.field("identical", &self.identical);
+        w.end_object();
+    }
+}
+
+/// Writes a ledger file: the benchmark's name, the host's parallelism and
+/// one object per row.
+fn render_bench_json<R: Encode>(benchmark: &str, host: usize, rows: &[R]) -> String {
+    let mut w = JsonWriter::pretty();
+    w.begin_object();
+    w.field("benchmark", benchmark);
+    w.field("host_parallelism", &host);
+    w.field("rows", rows);
+    w.end_object();
+    w.finish() + "\n"
+}
+
+/// Rounds `v` to `decimals` places, the precision the ledger files record.
+fn round(v: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    (v * scale).round() / scale
 }
 
 /// Vector pairs per circuit for the kernel smoke. Large enough that the
@@ -309,7 +316,7 @@ fn run_kernel_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    std::fs::write(out_path, render_kernel_json(host, &rows))?;
+    std::fs::write(out_path, render_bench_json("kernel_smoke", host, &rows))?;
     println!("wrote {out_path}");
     if rows.iter().any(|r| !r.identical) {
         return Err("packed kernel diverged from the scalar kernel".into());
@@ -317,39 +324,19 @@ fn run_kernel_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn render_kernel_json(host: usize, rows: &[KernelRow]) -> String {
-    render_kernel_rows_json("kernel_smoke", host, rows)
-}
-
-fn render_population_json(host: usize, rows: &[KernelRow]) -> String {
-    render_kernel_rows_json("population_smoke", host, rows)
-}
-
-fn render_kernel_rows_json(benchmark: &str, host: usize, rows: &[KernelRow]) -> String {
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"circuit\": \"{}\", \"kernel\": \"{}\", \
-                 \"delay_model\": \"{}\", \"pairs\": {}, \
-                 \"scalar_pairs_per_s\": {:.1}, \"packed_pairs_per_s\": {:.1}, \
-                 \"speedup\": {:.3}, \"identical\": {}}}",
-                r.circuit,
-                r.kernel,
-                r.delay_model,
-                r.pairs,
-                r.scalar_pairs_per_s,
-                r.packed_pairs_per_s,
-                r.speedup(),
-                r.identical,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"benchmark\": \"{benchmark}\",\n  \
-         \"host_parallelism\": {host},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    )
+impl Encode for KernelRow {
+    fn encode(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("circuit", &self.circuit);
+        w.field("kernel", self.kernel);
+        w.field("delay_model", self.delay_model);
+        w.field("pairs", &self.pairs);
+        w.field("scalar_pairs_per_s", &round(self.scalar_pairs_per_s, 1));
+        w.field("packed_pairs_per_s", &round(self.packed_pairs_per_s, 1));
+        w.field("speedup", &round(self.speedup(), 3));
+        w.field("identical", &self.identical);
+        w.end_object();
+    }
 }
 
 /// The delay models the population smoke measures. Fanout delay is
@@ -422,7 +409,7 @@ fn run_population_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>
             }
         }
     }
-    std::fs::write(out_path, render_population_json(host, &rows))?;
+    std::fs::write(out_path, render_bench_json("population_smoke", host, &rows))?;
     println!("wrote {out_path}");
     if rows.iter().any(|r| !r.identical) {
         return Err("packed population sweep diverged from the scalar kernel".into());
@@ -517,7 +504,7 @@ fn run_telemetry_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>>
         rows.push(row);
     }
     let _ = std::fs::remove_file(&trace_path);
-    std::fs::write(out_path, render_telemetry_json(host, &rows))?;
+    std::fs::write(out_path, render_bench_json("telemetry_smoke", host, &rows))?;
     println!("wrote {out_path}");
     if rows.iter().any(|r| !r.identical) {
         return Err("telemetry perturbed the estimate: modes disagree".into());
@@ -525,31 +512,21 @@ fn run_telemetry_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>>
     Ok(())
 }
 
-fn render_telemetry_json(host: usize, rows: &[TelemetryRow]) -> String {
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"circuit\": \"{}\", \"pairs\": {}, \
-                 \"off_pairs_per_s\": {:.1}, \"registry_pairs_per_s\": {:.1}, \
-                 \"jsonl_pairs_per_s\": {:.1}, \"registry_overhead_pct\": {:.2}, \
-                 \"jsonl_overhead_pct\": {:.2}, \"identical\": {}}}",
-                r.circuit,
-                r.pairs,
-                r.off_pairs_per_s,
-                r.registry_pairs_per_s,
-                r.jsonl_pairs_per_s,
-                r.overhead_pct(r.registry_pairs_per_s),
-                r.overhead_pct(r.jsonl_pairs_per_s),
-                r.identical,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"benchmark\": \"telemetry_smoke\",\n  \"host_parallelism\": {host},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    )
+impl Encode for TelemetryRow {
+    fn encode(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("circuit", &self.circuit);
+        w.field("pairs", &self.pairs);
+        w.field("off_pairs_per_s", &round(self.off_pairs_per_s, 1));
+        w.field("registry_pairs_per_s", &round(self.registry_pairs_per_s, 1));
+        w.field("jsonl_pairs_per_s", &round(self.jsonl_pairs_per_s, 1));
+        let registry_overhead = self.overhead_pct(self.registry_pairs_per_s);
+        w.field("registry_overhead_pct", &round(registry_overhead, 2));
+        let jsonl_overhead = self.overhead_pct(self.jsonl_pairs_per_s);
+        w.field("jsonl_overhead_pct", &round(jsonl_overhead, 2));
+        w.field("identical", &self.identical);
+        w.end_object();
+    }
 }
 
 fn render_breakdown(path: &str, summary: &TraceSummary) -> String {
@@ -612,6 +589,7 @@ fn format_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpe_telemetry::json::{self, Json};
     use mpe_telemetry::TRACE_SCHEMA_VERSION;
 
     #[test]
@@ -644,22 +622,60 @@ mod tests {
         );
     }
 
+    /// Parses a rendered ledger file, checks its header, and returns its
+    /// rows.
+    fn parse_bench(text: &str, benchmark: &str, host: u64) -> Vec<Json> {
+        assert!(text.ends_with("}\n"), "{text}");
+        let doc = json::parse(text).expect("ledger file is valid JSON");
+        assert_eq!(doc.get("benchmark").and_then(Json::as_str), Some(benchmark));
+        assert_eq!(
+            doc.get("host_parallelism").and_then(Json::as_u64),
+            Some(host)
+        );
+        match doc.get("rows") {
+            Some(Json::Arr(rows)) => rows.clone(),
+            other => panic!("rows is not an array: {other:?}"),
+        }
+    }
+
+    fn num(row: &Json, key: &str) -> f64 {
+        row.get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("`{key}` is not a number in {row:?}"))
+    }
+
+    fn text<'a>(row: &'a Json, key: &str) -> &'a str {
+        row.get(key)
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("`{key}` is not a string in {row:?}"))
+    }
+
     #[test]
     fn smoke_json_is_well_formed() {
         let rows = [SmokeRow {
             circuit: "C432".to_string(),
-            sequential_s: 1.0,
+            sequential_s: 1.234_567_89,
             parallel_s: 0.5,
             hyper_samples: 40,
             units_used: 12_000,
             identical: true,
         }];
-        let json = render_smoke_json(8, &rows);
-        assert!(json.contains("\"benchmark\": \"parallel_smoke\""), "{json}");
-        assert!(json.contains("\"host_parallelism\": 8"), "{json}");
-        assert!(json.contains("\"circuit\": \"C432\""), "{json}");
-        assert!(json.contains("\"speedup\": 2.000"), "{json}");
-        assert!(json.contains("\"identical\": true"), "{json}");
+        let rows = parse_bench(
+            &render_bench_json("parallel_smoke", 8, &rows),
+            "parallel_smoke",
+            8,
+        );
+        let [row] = rows.as_slice() else {
+            panic!("one row expected: {rows:?}")
+        };
+        assert_eq!(text(row, "circuit"), "C432");
+        assert_eq!(num(row, "workers"), SMOKE_WORKERS as f64);
+        assert_eq!(num(row, "sequential_s"), 1.234_568);
+        assert_eq!(num(row, "parallel_s"), 0.5);
+        assert_eq!(num(row, "speedup"), 2.469);
+        assert_eq!(num(row, "hyper_samples"), 40.0);
+        assert_eq!(num(row, "units_used"), 12_000.0);
+        assert_eq!(row.get("identical"), Some(&Json::Bool(true)));
     }
 
     #[test]
@@ -670,7 +686,7 @@ mod tests {
                 kernel: "packed64",
                 delay_model: "zero",
                 pairs: 4096,
-                scalar_pairs_per_s: 1000.0,
+                scalar_pairs_per_s: 1000.04,
                 packed_pairs_per_s: 8000.0,
                 identical: true,
             },
@@ -681,18 +697,29 @@ mod tests {
                 pairs: 4096,
                 scalar_pairs_per_s: 500.0,
                 packed_pairs_per_s: 4000.0,
-                identical: true,
+                identical: false,
             },
         ];
-        let json = render_kernel_json(1, &rows);
-        assert!(json.contains("\"benchmark\": \"kernel_smoke\""), "{json}");
-        assert!(json.contains("\"kernel\": \"packed64\""), "{json}");
-        assert!(json.contains("\"kernel\": \"packed128\""), "{json}");
-        assert!(json.contains("\"delay_model\": \"zero\""), "{json}");
-        assert!(json.contains("\"delay_model\": \"unit\""), "{json}");
-        assert!(json.contains("\"circuit\": \"C880\""), "{json}");
-        assert!(json.contains("\"speedup\": 8.000"), "{json}");
-        assert!(json.contains("\"identical\": true"), "{json}");
+        let rows = parse_bench(
+            &render_bench_json("kernel_smoke", 1, &rows),
+            "kernel_smoke",
+            1,
+        );
+        assert_eq!(rows.len(), 2);
+        for (row, (kernel, delay, identical)) in rows
+            .iter()
+            .zip([("packed64", "zero", true), ("packed128", "unit", false)])
+        {
+            assert_eq!(text(row, "circuit"), "C880");
+            assert_eq!(text(row, "kernel"), kernel);
+            assert_eq!(text(row, "delay_model"), delay);
+            assert_eq!(num(row, "pairs"), 4096.0);
+            assert_eq!(row.get("identical"), Some(&Json::Bool(identical)));
+        }
+        assert_eq!(num(&rows[0], "scalar_pairs_per_s"), 1000.0);
+        assert_eq!(num(&rows[0], "packed_pairs_per_s"), 8000.0);
+        assert_eq!(num(&rows[0], "speedup"), 8.0);
+        assert_eq!(num(&rows[1], "speedup"), 8.0);
     }
 
     #[test]
@@ -706,14 +733,17 @@ mod tests {
             packed_pairs_per_s: 12_000.0,
             identical: true,
         }];
-        let json = render_population_json(2, &rows);
-        assert!(
-            json.contains("\"benchmark\": \"population_smoke\""),
-            "{json}"
+        let rows = parse_bench(
+            &render_bench_json("population_smoke", 2, &rows),
+            "population_smoke",
+            2,
         );
-        assert!(json.contains("\"kernel\": \"packed64\""), "{json}");
-        assert!(json.contains("\"speedup\": 12.000"), "{json}");
-        assert!(json.contains("\"identical\": true"), "{json}");
+        let [row] = rows.as_slice() else {
+            panic!("one row expected: {rows:?}")
+        };
+        assert_eq!(text(row, "kernel"), "packed64");
+        assert_eq!(num(row, "speedup"), 12.0);
+        assert_eq!(row.get("identical"), Some(&Json::Bool(true)));
     }
 
     #[test]
@@ -726,16 +756,23 @@ mod tests {
             jsonl_pairs_per_s: 900.0,
             identical: true,
         }];
-        let json = render_telemetry_json(4, &rows);
-        assert!(
-            json.contains("\"benchmark\": \"telemetry_smoke\""),
-            "{json}"
+        let rows = parse_bench(
+            &render_bench_json("telemetry_smoke", 4, &rows),
+            "telemetry_smoke",
+            4,
         );
-        assert!(json.contains("\"host_parallelism\": 4"), "{json}");
-        assert!(json.contains("\"circuit\": \"C432\""), "{json}");
-        assert!(json.contains("\"registry_overhead_pct\": 1.00"), "{json}");
-        assert!(json.contains("\"jsonl_overhead_pct\": 10.00"), "{json}");
-        assert!(json.contains("\"identical\": true"), "{json}");
+        let [row] = rows.as_slice() else {
+            panic!("one row expected: {rows:?}")
+        };
+        assert_eq!(text(row, "circuit"), "C432");
+        assert_eq!(num(row, "pairs"), 12_000.0);
+        assert_eq!(num(row, "off_pairs_per_s"), 1000.0);
+        assert_eq!(num(row, "registry_pairs_per_s"), 990.0);
+        assert_eq!(num(row, "jsonl_pairs_per_s"), 900.0);
+        // 100 · (1 − 990/1000) is 1.0000000000000009 before rounding.
+        assert_eq!(num(row, "registry_overhead_pct"), 1.0);
+        assert_eq!(num(row, "jsonl_overhead_pct"), 10.0);
+        assert_eq!(row.get("identical"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -11,8 +11,35 @@
 //! and a [`RunHealth`] so callers can distinguish a pristine converged run
 //! from one that limped home on fallback estimators.
 
-use crate::serve::json::{unit_variants, Decode, Encode, Fields, Json, JsonWriter};
+use crate::serve::json::{Decode, Encode, Fields, Json, JsonWriter};
 use crate::supervise::StopReason;
+
+/// Implements [`Encode`] and [`Decode`] for a fieldless enum, spelling
+/// each variant as its name.
+macro_rules! unit_variants {
+    ($ty:ident { $($variant:ident),+ $(,)? }) => {
+        impl $crate::serve::json::Encode for $ty {
+            fn encode(&self, w: &mut $crate::serve::json::JsonWriter) {
+                w.str(match self {
+                    $($ty::$variant => stringify!($variant),)+
+                });
+            }
+        }
+
+        impl $crate::serve::json::Decode for $ty {
+            fn decode(value: &$crate::serve::json::Json) -> Result<Self, String> {
+                match value.as_str() {
+                    $(Some(stringify!($variant)) => Ok($ty::$variant),)+
+                    _ => Err(format!(
+                        concat!("expected a ", stringify!($ty), " variant, found {:?}"),
+                        value
+                    )),
+                }
+            }
+        }
+    };
+}
+pub(crate) use unit_variants;
 
 /// Which estimator produced a hyper-sample estimate.
 ///

@@ -12,9 +12,10 @@
 //!   [`CancelToken`](crate::CancelToken) and bounded event ring.
 //! * [`cache::CircuitCache`] — parse + topo-sort + CSR packing once per
 //!   distinct circuit, shared by every job that names it.
-//! * [`Server`] — a hand-rolled `std::net` HTTP front end (the workspace
-//!   adds no dependencies): framed JSON responses for control endpoints,
-//!   an unframed NDJSON stream for live telemetry.
+//! * [`Server`] — a small `std::net` HTTP front end (the workspace adds
+//!   no dependencies): framed JSON responses for control endpoints, an
+//!   unframed NDJSON stream for live telemetry. Every body goes through
+//!   [`json`], the workspace codec re-exported from `mpe_telemetry::json`.
 //! * crash-safe spooling — specs, rolling checkpoints and terminal
 //!   reports persist under `--spool DIR`; a restarted daemon re-registers
 //!   finished jobs and resumes unfinished ones from their checkpoints.
@@ -39,7 +40,7 @@
 pub mod cache;
 pub mod http;
 pub mod jobs;
-pub mod json;
+pub use mpe_telemetry::json;
 
 use std::io::{BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -260,6 +261,18 @@ enum Routed {
     Body { status: u16, body: String },
 }
 
+/// A one-line `{"id":…,"status":…}` body; `id` is omitted when `None`.
+fn status_body(id: Option<&str>, status: &str) -> String {
+    let mut w = json::JsonWriter::compact();
+    w.begin_object();
+    if let Some(id) = id {
+        w.field("id", id);
+    }
+    w.field("status", status);
+    w.end_object();
+    w.finish() + "\n"
+}
+
 fn route(
     request: &Request,
     engine: &Arc<JobEngine>,
@@ -268,11 +281,11 @@ fn route(
 ) -> Result<Routed, AppError> {
     let ok = |body: String| Ok(Routed::Body { status: 200, body });
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => ok("{\"status\":\"ok\"}\n".to_string()),
+        ("GET", "/healthz") => ok(status_body(None, "ok")),
         ("GET", "/stats") => ok(engine.stats_json()),
         ("POST", "/shutdown") => {
             shutdown.cancel();
-            ok("{\"status\":\"shutting down\"}\n".to_string())
+            ok(status_body(None, "shutting down"))
         }
         ("POST", "/jobs") => {
             let doc = json::parse(&request.body)
@@ -281,7 +294,7 @@ fn route(
             let job = engine.submit(spec)?;
             Ok(Routed::Body {
                 status: 202,
-                body: format!("{{\"id\":\"{}\",\"status\":\"queued\"}}\n", job.id),
+                body: status_body(Some(&job.id), "queued"),
             })
         }
         (method, path) => {
@@ -310,11 +323,7 @@ fn route(
                 }
                 ("POST", Some("cancel")) => {
                     let job = engine.cancel(id)?;
-                    ok(format!(
-                        "{{\"id\":\"{}\",\"status\":\"{}\"}}\n",
-                        job.id,
-                        job.status_label()
-                    ))
+                    ok(status_body(Some(&job.id), job.status_label()))
                 }
                 ("GET", Some("events")) => {
                     stream_events(&job, stream);

@@ -55,7 +55,7 @@ impl StopReason {
     }
 }
 
-crate::serve::json::unit_variants!(StopReason {
+crate::health::unit_variants!(StopReason {
     Cancelled,
     DeadlineExceeded,
     HyperSampleBudget,

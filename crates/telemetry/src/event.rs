@@ -1,9 +1,9 @@
 //! Typed telemetry events and their JSONL wire format.
 //!
-//! One event is one line of JSON. The writer and parser are hand-rolled
-//! (this crate has no dependencies by design); the schema is flat —
-//! string, integer and float fields only — so any JSON tool (`jq`,
-//! `serde_json`) can consume the trace too.
+//! One event is one line of JSON, written and read by the workspace codec
+//! ([`crate::json`]). The schema is flat — string, integer and float
+//! fields only — so any JSON tool (`jq`, `serde_json`) can consume the
+//! trace too. Integers are exact over the full `u64` range.
 //!
 //! Example lines:
 //!
@@ -25,7 +25,7 @@
 //!   trail: rung, reason code, log-likelihood, KS distance, tail shape).
 //!   v1 traces still parse; new traces are stamped v2.
 
-use std::fmt::Write as _;
+use crate::json::{self, Decode, Encode, Fields, Json, JsonWriter};
 
 /// Version stamped into every trace line; bumped when new event types are
 /// added. The parser accepts every version back to
@@ -155,106 +155,10 @@ pub struct EventRecord {
     pub kind: EventKind,
 }
 
-/// Appends a JSON string literal (with escaping) to `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends a JSON float: shortest round-trip form, `null` when non-finite.
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{:?}` is Rust's shortest round-trippable float form, which is
-        // also valid JSON for finite values.
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 impl EventRecord {
     /// Encodes this record as one line of JSON (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"v\":{TRACE_SCHEMA_VERSION},\"seq\":{},\"t_ns\":{},",
-            self.seq, self.t_ns
-        );
-        match &self.kind {
-            EventKind::SpanStart { span, id } => {
-                let _ = write!(
-                    s,
-                    "\"type\":\"span_start\",\"span\":\"{}\",\"id\":{id}",
-                    span.label()
-                );
-            }
-            EventKind::SpanEnd {
-                span,
-                id,
-                elapsed_ns,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"type\":\"span_end\",\"span\":\"{}\",\"id\":{id},\"elapsed_ns\":{elapsed_ns}",
-                    span.label()
-                );
-            }
-            EventKind::Counter { name, delta } => {
-                s.push_str("\"type\":\"counter\",\"name\":");
-                push_json_str(&mut s, name);
-                let _ = write!(s, ",\"delta\":{delta}");
-            }
-            EventKind::Gauge { name, value } => {
-                s.push_str("\"type\":\"gauge\",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(",\"value\":");
-                push_json_f64(&mut s, *value);
-            }
-            EventKind::FitDiag {
-                k,
-                rung,
-                reason,
-                log_likelihood,
-                ks_distance,
-                tail_shape,
-            } => {
-                let _ = write!(s, "\"type\":\"fit_diag\",\"k\":{k},\"rung\":");
-                push_json_str(&mut s, rung);
-                s.push_str(",\"reason\":");
-                push_json_str(&mut s, reason);
-                // Absent diagnostics are omitted entirely (not `null`), so
-                // every field that is present carries a real number.
-                for (key, value) in [
-                    ("log_likelihood", log_likelihood),
-                    ("ks_distance", ks_distance),
-                    ("tail_shape", tail_shape),
-                ] {
-                    if let Some(v) = value {
-                        let _ = write!(s, ",\"{key}\":");
-                        push_json_f64(&mut s, *v);
-                    }
-                }
-            }
-        }
-        if let Some(worker) = self.worker {
-            let _ = write!(s, ",\"worker\":{worker}");
-        }
-        s.push('}');
-        s
+        json::to_string(self)
     }
 
     /// Parses one trace line back into an [`EventRecord`].
@@ -264,103 +168,121 @@ impl EventRecord {
     /// Returns a human-readable description of the first problem: malformed
     /// JSON, a wrong schema version, or missing/mistyped fields.
     pub fn parse_json_line(line: &str) -> Result<EventRecord, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{key}`"))
-        };
-        let as_u64 = |key: &str| -> Result<u64, String> {
-            match get(key)? {
-                JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-                other => Err(format!(
-                    "field `{key}` is not a non-negative integer: {other:?}"
-                )),
-            }
-        };
-        let as_str = |key: &str| -> Result<&str, String> {
-            match get(key)? {
-                JsonValue::String(s) => Ok(s.as_str()),
-                other => Err(format!("field `{key}` is not a string: {other:?}")),
-            }
-        };
+        json::from_str(line)
+    }
+}
 
-        let v = as_u64("v")?;
-        if v < TRACE_SCHEMA_MIN_VERSION as u64 || v > TRACE_SCHEMA_VERSION as u64 {
+impl Encode for EventRecord {
+    fn encode(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("v", &TRACE_SCHEMA_VERSION);
+        w.field("seq", &self.seq);
+        w.field("t_ns", &self.t_ns);
+        match &self.kind {
+            EventKind::SpanStart { span, id } => {
+                w.field("type", "span_start");
+                w.field("span", span.label());
+                w.field("id", id);
+            }
+            EventKind::SpanEnd {
+                span,
+                id,
+                elapsed_ns,
+            } => {
+                w.field("type", "span_end");
+                w.field("span", span.label());
+                w.field("id", id);
+                w.field("elapsed_ns", elapsed_ns);
+            }
+            EventKind::Counter { name, delta } => {
+                w.field("type", "counter");
+                w.field("name", name);
+                w.field("delta", delta);
+            }
+            EventKind::Gauge { name, value } => {
+                w.field("type", "gauge");
+                w.field("name", name);
+                w.field("value", value);
+            }
+            EventKind::FitDiag {
+                k,
+                rung,
+                reason,
+                log_likelihood,
+                ks_distance,
+                tail_shape,
+            } => {
+                w.field("type", "fit_diag");
+                w.field("k", k);
+                w.field("rung", rung);
+                w.field("reason", reason);
+                // Absent diagnostics are omitted entirely (not `null`), so
+                // every field that is present carries a real number.
+                for (key, value) in [
+                    ("log_likelihood", log_likelihood),
+                    ("ks_distance", ks_distance),
+                    ("tail_shape", tail_shape),
+                ] {
+                    if let Some(v) = value {
+                        w.field(key, v);
+                    }
+                }
+            }
+        }
+        if let Some(worker) = &self.worker {
+            w.field("worker", worker);
+        }
+        w.end_object();
+    }
+}
+
+impl Decode for EventRecord {
+    fn decode(value: &Json) -> Result<Self, String> {
+        let fields = Fields::of(value)?;
+        let v: u64 = fields.req("v")?;
+        if !(u64::from(TRACE_SCHEMA_MIN_VERSION)..=u64::from(TRACE_SCHEMA_VERSION)).contains(&v) {
             return Err(format!(
                 "trace schema version {v} outside supported range \
                  {TRACE_SCHEMA_MIN_VERSION}..={TRACE_SCHEMA_VERSION}"
             ));
         }
-        let seq = as_u64("seq")?;
-        let t_ns = as_u64("t_ns")?;
-        let worker = match fields.iter().find(|(k, _)| k == "worker") {
-            None => None,
-            Some((_, JsonValue::Number(n))) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            Some((_, other)) => {
-                return Err(format!(
-                    "field `worker` is not a non-negative integer: {other:?}"
-                ))
-            }
+        let seq = fields.req("seq")?;
+        let t_ns = fields.req("t_ns")?;
+        let worker = fields.or("worker", None)?;
+        let span = || -> Result<SpanKind, String> {
+            let label: String = fields.req("span")?;
+            SpanKind::from_label(&label).ok_or_else(|| format!("unknown span kind `{label}`"))
         };
-        let kind = match as_str("type")? {
-            "span_start" => {
-                let label = as_str("span")?;
-                let span = SpanKind::from_label(label)
-                    .ok_or_else(|| format!("unknown span kind `{label}`"))?;
-                EventKind::SpanStart {
-                    span,
-                    id: as_u64("id")?,
-                }
-            }
-            "span_end" => {
-                let label = as_str("span")?;
-                let span = SpanKind::from_label(label)
-                    .ok_or_else(|| format!("unknown span kind `{label}`"))?;
-                EventKind::SpanEnd {
-                    span,
-                    id: as_u64("id")?,
-                    elapsed_ns: as_u64("elapsed_ns")?,
-                }
-            }
-            "counter" => EventKind::Counter {
-                name: as_str("name")?.to_string(),
-                delta: as_u64("delta")?,
+        let kind = match fields.req::<String>("type")?.as_str() {
+            "span_start" => EventKind::SpanStart {
+                span: span()?,
+                id: fields.req("id")?,
             },
-            "gauge" => {
-                let value = match get("value")? {
-                    JsonValue::Number(n) => *n,
-                    JsonValue::Null => f64::INFINITY,
-                    other => return Err(format!("field `value` is not a number: {other:?}")),
-                };
-                EventKind::Gauge {
-                    name: as_str("name")?.to_string(),
-                    value,
-                }
-            }
-            "fit_diag" => {
-                // Optional numeric diagnostic: absent or `null` → `None`.
-                let opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-                    match fields.iter().find(|(k, _)| k == key) {
-                        None => Ok(None),
-                        Some((_, JsonValue::Number(n))) => Ok(Some(*n)),
-                        Some((_, JsonValue::Null)) => Ok(None),
-                        Some((_, other)) => {
-                            Err(format!("field `{key}` is not a number: {other:?}"))
-                        }
-                    }
-                };
-                EventKind::FitDiag {
-                    k: as_u64("k")?,
-                    rung: as_str("rung")?.to_string(),
-                    reason: as_str("reason")?.to_string(),
-                    log_likelihood: opt_f64("log_likelihood")?,
-                    ks_distance: opt_f64("ks_distance")?,
-                    tail_shape: opt_f64("tail_shape")?,
-                }
-            }
+            "span_end" => EventKind::SpanEnd {
+                span: span()?,
+                id: fields.req("id")?,
+                elapsed_ns: fields.req("elapsed_ns")?,
+            },
+            "counter" => EventKind::Counter {
+                name: fields.req("name")?,
+                delta: fields.req("delta")?,
+            },
+            // The member must be present; a `null` one is a non-finite
+            // gauge, which reads back as `+∞` (not the NaN a bare `f64`
+            // member decodes to).
+            "gauge" => EventKind::Gauge {
+                name: fields.req("name")?,
+                value: fields.req::<Option<f64>>("value")?.unwrap_or(f64::INFINITY),
+            },
+            // Optional diagnostics: absent or `null` → `None`.
+            "fit_diag" => EventKind::FitDiag {
+                k: fields.req("k")?,
+                rung: fields.req("rung")?,
+                reason: fields.req("reason")?,
+                log_likelihood: fields.or("log_likelihood", None)?,
+                ks_distance: fields.or("ks_distance", None)?,
+                tail_shape: fields.or("tail_shape", None)?,
+            },
             other => return Err(format!("unknown event type `{other}`")),
         };
         Ok(EventRecord {
@@ -369,118 +291,6 @@ impl EventRecord {
             worker,
             kind,
         })
-    }
-}
-
-/// A parsed flat JSON value (the trace schema never nests).
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    String(String),
-    Number(f64),
-    Null,
-}
-
-/// Parses a flat JSON object (`{"k":v,...}` with string/number/null values)
-/// into key/value pairs. Strict enough to reject garbage, simple enough to
-/// stay dependency-free.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut out = Vec::new();
-
-    let err =
-        |what: &str| Err::<Vec<(String, JsonValue)>, String>(format!("malformed JSON: {what}"));
-    if chars.next() != Some('{') {
-        return err("expected `{`");
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            _ => return err("expected `\"` or `}`"),
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return err("expected `:`");
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::String(parse_string(&mut chars)?),
-            Some('n') => {
-                for expect in "null".chars() {
-                    if chars.next() != Some(expect) {
-                        return err("expected `null`");
-                    }
-                }
-                JsonValue::Null
-            }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let mut num = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                        num.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                JsonValue::Number(
-                    num.parse::<f64>()
-                        .map_err(|_| format!("malformed JSON: bad number `{num}`"))?,
-                )
-            }
-            _ => return err("expected a value"),
-        };
-        out.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => {}
-            Some('}') => break,
-            _ => return err("expected `,` or `}`"),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return err("trailing characters after object");
-    }
-    Ok(out)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(c) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("malformed JSON: expected `\"`".to_string());
-    }
-    let mut s = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(s),
-            Some('\\') => match chars.next() {
-                Some('"') => s.push('"'),
-                Some('\\') => s.push('\\'),
-                Some('n') => s.push('\n'),
-                Some('r') => s.push('\r'),
-                Some('t') => s.push('\t'),
-                Some('u') => {
-                    let code: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let n = u32::from_str_radix(&code, 16)
-                        .map_err(|_| format!("malformed JSON: bad \\u escape `{code}`"))?;
-                    s.push(char::from_u32(n).unwrap_or('\u{fffd}'));
-                }
-                _ => return Err("malformed JSON: bad escape".to_string()),
-            },
-            Some(c) => s.push(c),
-            None => return Err("malformed JSON: unterminated string".to_string()),
-        }
     }
 }
 
@@ -534,6 +344,16 @@ mod tests {
                     span: SpanKind::Run,
                     id: 0,
                     elapsed_ns: 98,
+                },
+            },
+            // Integers stay exact beyond 2⁵³, where an f64 would round.
+            EventRecord {
+                seq: 4,
+                t_ns: (1 << 53) + 1,
+                worker: None,
+                kind: EventKind::Counter {
+                    name: "hyper_samples".to_string(),
+                    delta: 1,
                 },
             },
         ];

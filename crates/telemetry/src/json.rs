@@ -1,7 +1,8 @@
-//! The workspace's JSON codec: reports, checkpoints, and the daemon's job
-//! specs, status documents, spool records and error bodies all go through
-//! this module. (Telemetry trace lines keep `mpe-telemetry`'s own flat
-//! encoding: that crate sits below this one and has no dependencies.)
+//! The workspace's JSON codec: reports, checkpoints, telemetry trace
+//! lines, benchmark rows, and the daemon's job specs, status documents,
+//! spool records and error bodies all go through this module. It lives in
+//! the zero-dependency bottom crate so every crate above can share it;
+//! `maxpower::serve::json` re-exports it.
 //!
 //! It has three parts:
 //!
@@ -279,13 +280,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid by construction).
+                    // Copy the whole unescaped run in one slice. It ends at
+                    // the next `"` or `\`, both ASCII, so on a char
+                    // boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8".to_string())?;
-                    let ch = s.chars().next().ok_or_else(|| "empty string".to_string())?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
+                        .map_err(|_| "invalid UTF-8".to_string())?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -733,33 +739,6 @@ impl<T: Decode> Decode for Vec<T> {
     }
 }
 
-/// Implements [`Encode`] and [`Decode`] for a fieldless enum, spelling
-/// each variant as its name.
-macro_rules! unit_variants {
-    ($ty:ident { $($variant:ident),+ $(,)? }) => {
-        impl $crate::serve::json::Encode for $ty {
-            fn encode(&self, w: &mut $crate::serve::json::JsonWriter) {
-                w.str(match self {
-                    $($ty::$variant => stringify!($variant),)+
-                });
-            }
-        }
-
-        impl $crate::serve::json::Decode for $ty {
-            fn decode(value: &$crate::serve::json::Json) -> Result<Self, String> {
-                match value.as_str() {
-                    $(Some(stringify!($variant)) => Ok($ty::$variant),)+
-                    _ => Err(format!(
-                        concat!("expected a ", stringify!($ty), " variant, found {:?}"),
-                        value
-                    )),
-                }
-            }
-        }
-    };
-}
-pub(crate) use unit_variants;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -897,6 +876,19 @@ mod tests {
         // Strings survive the writer → parser round trip.
         let s = "quote \" backslash \\ tab \t bell \u{7} é";
         assert_eq!(from_str::<String>(&to_string(s)).as_deref(), Ok(s));
+    }
+
+    #[test]
+    fn multi_mebibyte_strings_parse_in_linear_time() {
+        // A job spec can inline a megabyte-sized netlist; the string scan
+        // must not revisit the rest of the input for every character.
+        let s = "INPUT(G1) é\t\"x\"\\\n".repeat(200_000);
+        assert!(s.len() > 3 << 20);
+        let started = std::time::Instant::now();
+        let back = from_str::<String>(&to_string(&s));
+        let elapsed = started.elapsed();
+        assert_eq!(back.as_deref(), Ok(s.as_str()));
+        assert!(elapsed.as_secs_f64() < 2.0, "{elapsed:?}");
     }
 
     #[test]

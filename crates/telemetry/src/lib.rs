@@ -23,10 +23,12 @@
 //! * **Never perturbs the estimation.** The handle owns no RNG and sink
 //!   I/O errors are latched, not propagated: a fixed-seed run produces
 //!   bit-identical estimates with telemetry on or off.
-//! * **Zero external dependencies.** The JSONL wire format is hand-rolled
-//!   (see [`event`]) and CI enforces an empty dependency list.
+//! * **Zero external dependencies.** The workspace's one JSON codec
+//!   ([`json`]) lives here, so the JSONL wire format (see [`event`]) and
+//!   every crate above share it; CI enforces an empty dependency list.
 
 pub mod event;
+pub mod json;
 pub mod registry;
 pub mod replay;
 pub mod sink;
