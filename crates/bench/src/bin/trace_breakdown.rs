@@ -590,28 +590,42 @@ fn format_ns(ns: f64) -> String {
 mod tests {
     use super::*;
     use mpe_telemetry::json::{self, Json};
-    use mpe_telemetry::TRACE_SCHEMA_VERSION;
+    use mpe_telemetry::{EventKind, EventRecord};
 
     #[test]
     fn breakdown_renders_phases_and_cost() {
-        let lines = [
-            format!(
-                "{{\"v\":{TRACE_SCHEMA_VERSION},\"seq\":0,\"t_ns\":0,\
-                 \"type\":\"span_start\",\"span\":\"run\",\"id\":0}}"
-            ),
-            format!(
-                "{{\"v\":{TRACE_SCHEMA_VERSION},\"seq\":1,\"t_ns\":1,\
-                 \"type\":\"counter\",\"name\":\"vector_pairs_simulated\",\"delta\":300}}"
-            ),
-            format!(
-                "{{\"v\":{TRACE_SCHEMA_VERSION},\"seq\":2,\"t_ns\":2,\
-                 \"type\":\"counter\",\"name\":\"hyper_samples\",\"delta\":1}}"
-            ),
-            format!(
-                "{{\"v\":{TRACE_SCHEMA_VERSION},\"seq\":3,\"t_ns\":3,\
-                 \"type\":\"span_end\",\"span\":\"run\",\"id\":0,\"elapsed_ns\":2000000}}"
-            ),
+        let kinds = [
+            EventKind::SpanStart {
+                span: SpanKind::Run,
+                id: 0,
+            },
+            EventKind::Counter {
+                name: names::VECTOR_PAIRS_SIMULATED.to_string(),
+                delta: 300,
+            },
+            EventKind::Counter {
+                name: names::HYPER_SAMPLES.to_string(),
+                delta: 1,
+            },
+            EventKind::SpanEnd {
+                span: SpanKind::Run,
+                id: 0,
+                elapsed_ns: 2_000_000,
+            },
         ];
+        let lines: Vec<String> = kinds
+            .into_iter()
+            .zip(0u64..)
+            .map(|(kind, seq)| {
+                EventRecord {
+                    seq,
+                    t_ns: seq,
+                    worker: None,
+                    kind,
+                }
+                .to_json_line()
+            })
+            .collect();
         let summary = replay(lines.iter().map(String::as_str)).unwrap();
         let text = render_breakdown("t.jsonl", &summary);
         assert!(text.contains("run"), "{text}");
