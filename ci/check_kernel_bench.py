@@ -10,10 +10,11 @@ have regressed:
   *raison d'etre* is bit-identity with the scalar reference, so a
   single false is an instant failure;
 * every row's speedup must clear a conservative per-delay-model floor.
-  The floors sit well below locally measured numbers (kernel smoke:
-  zero-delay 13.8x-34.9x, unit 7.3x-11.0x, fanout 5.5x-8.4x; population
+  The floors sit below locally measured numbers (kernel smoke, C432 to
+  C6288: zero-delay 16.1x-50.3x, unit 5.9x-14.2x, fanout 3.0x-12.1x,
+  where C6288's 64-lane fanout row sits at the 3.0x floor; population
   sweep: zero-delay 20x-44x, unit 7.5x-12x on a shared dev box) so that
-  noisy CI runners don't flake, while a real regression — say the packed
+  noisy CI runners rarely flake, while a real regression — say the packed
   lane loop quietly falling back to per-lane evaluation, or the
   population path dropping back to per-pair dispatch — still trips them.
 

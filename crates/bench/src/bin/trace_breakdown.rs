@@ -262,7 +262,15 @@ fn time_packed<B: mpe_netlist::Block>(
 
 fn run_kernel_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let circuits = [Iscas85::C432, Iscas85::C880, Iscas85::C1355];
+    // C3540 and C6288 are the circuits of the `population` and
+    // `sim-bound` benchmark workloads.
+    let circuits = [
+        Iscas85::C432,
+        Iscas85::C880,
+        Iscas85::C1355,
+        Iscas85::C3540,
+        Iscas85::C6288,
+    ];
     let mut rows = Vec::new();
     for which in circuits {
         let circuit = generate(which, 7)?;

@@ -58,9 +58,10 @@ ESTIMATION (estimate / delay):
                         results are bit-identical for every N
     --delay-model M     zero | unit | fanout (default unit)
     --kernel K          auto | scalar | packed | packed128 simulation kernel
-                        (default auto = packed; the packed kernels settle 64
-                        or 128 vector pairs per word-level sweep under every
-                        delay model and are bit-identical to scalar)
+                        (default auto = packed128 for unit delay, packed
+                        otherwise; the packed kernels settle 64 or 128 vector
+                        pairs per word-level sweep under every delay model
+                        and are bit-identical to scalar)
     --activity A        per-line input switching activity in [0,1] (default: uniform pairs)
     --json              print the result as JSON instead of text
 

@@ -178,9 +178,9 @@ impl<S: PowerSource + Clone + Send> PowerSourceFactory for S {
 enum PackedKernel {
     /// Scalar per-pair simulation (no lane words).
     Scalar,
-    /// 64 lanes per sweep.
+    /// 64 lanes per sweep (`Auto` under zero and fanout delay).
     Lanes64(PackedSimulator<u64>),
-    /// 128 lanes per sweep.
+    /// 128 lanes per sweep (`Auto` under unit delay).
     Lanes128(PackedSimulator<u128>),
 }
 
@@ -315,7 +315,7 @@ pub struct SimulatorSource<'c> {
 impl<'c> SimulatorSource<'c> {
     /// Creates a source that simulates fresh pairs from `generator` on the
     /// given circuit, with [`KernelMode::Auto`] kernel selection (the
-    /// 64-lane packed kernel for every delay model).
+    /// 128-lane packed kernel for unit delay, 64 lanes otherwise).
     pub fn new(
         circuit: &'c Circuit,
         generator: PairGenerator,

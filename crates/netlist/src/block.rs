@@ -66,6 +66,11 @@ pub trait Block:
 
     /// True when no lane is set.
     fn is_zero(self) -> bool;
+
+    /// Lanes `8k..8k + 8` as one byte, lane `8k` in bit 0
+    /// (`k < Self::LANES / 8`). Lets per-lane counters take a whole word
+    /// a byte at a time instead of peeling it lane by lane.
+    fn byte(self, k: usize) -> u8;
 }
 
 macro_rules! impl_block_for_uint {
@@ -110,6 +115,11 @@ macro_rules! impl_block_for_uint {
             fn is_zero(self) -> bool {
                 self == 0
             }
+
+            #[inline]
+            fn byte(self, k: usize) -> u8 {
+                (self >> (8 * k)) as u8
+            }
         }
     )*};
 }
@@ -133,7 +143,15 @@ mod tests {
             assert!(!B::low_mask(lane).get(lane));
             assert!(B::low_mask(lane + 1).get(lane));
             assert!(!(B::ONES ^ m).get(lane));
+            assert_eq!(m.byte(lane / 8), 1 << (lane % 8));
         }
+        // Bytes tile the word: lane `l` is bit `l % 8` of byte `l / 8`.
+        let w = B::lane_mask(0) | B::lane_mask(9) | B::lane_mask(B::LANES - 1);
+        let bytes: Vec<u8> = (0..B::LANES / 8).map(|k| w.byte(k)).collect();
+        assert_eq!(bytes[0], 1);
+        assert_eq!(bytes[1], 2);
+        assert_eq!(bytes[B::LANES / 8 - 1], 0x80);
+        assert_eq!(bytes.iter().map(|b| b.count_ones()).sum::<u32>(), 3);
         // Peeling ONES visits every lane exactly once, in ascending order.
         let mut w = B::ONES;
         let mut seen = 0usize;

@@ -37,8 +37,10 @@ use crate::power::PowerConfig;
 /// Which simulation kernel the estimation path should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// The widest packed kernel (64 lanes today; every delay model is
-    /// supported, so `Auto` always resolves to a packed kernel).
+    /// A packed kernel chosen per delay model by [`KernelMode::resolve`]:
+    /// 128-lane words for unit delay, 64-lane words otherwise. Every
+    /// delay model is supported, so `Auto` always resolves to a packed
+    /// kernel.
     #[default]
     Auto,
     /// Always the scalar per-pair kernel.
@@ -71,15 +73,18 @@ impl KernelMode {
         }
     }
 
-    /// Resolves `Auto` against a delay model. Since the packed kernels
-    /// implement every delay model bit-identically, `Auto` always picks
-    /// the 64-lane packed kernel; the parameter remains so callers state
-    /// the configuration they resolved for (and for any future model the
-    /// packed path cannot carry).
-    pub fn resolve(self, _delay: DelayModel) -> KernelMode {
-        match self {
-            KernelMode::Auto => KernelMode::Packed,
-            other => other,
+    /// Resolves `Auto` against a delay model. Both packed widths
+    /// implement every delay model bit-identically, so the choice is
+    /// speed alone: under unit delay 128-lane words beat 64 on every
+    /// measured circuit and on the unit-delay benchmark workloads; zero
+    /// delay, whose two-sweep path is fastest at 64 lanes, and
+    /// fanout-proportional delay, which no benchmark workload measures
+    /// end to end, keep 64.
+    pub fn resolve(self, delay: DelayModel) -> KernelMode {
+        match (self, delay) {
+            (KernelMode::Auto, DelayModel::Unit) => KernelMode::Packed128,
+            (KernelMode::Auto, _) => KernelMode::Packed,
+            (other, _) => other,
         }
     }
 
@@ -297,27 +302,60 @@ mod tests {
             .collect()
     }
 
-    fn assert_matches_scalar<B: Block>(delay: DelayModel, count: usize, seed: u64) {
-        let c = generate(Iscas85::C432, 7).unwrap();
+    fn refs_of(pairs: &[(Vec<bool>, Vec<bool>)]) -> Vec<(&[bool], &[bool])> {
+        pairs
+            .iter()
+            .map(|(a, b)| (a.as_slice(), b.as_slice()))
+            .collect()
+    }
+
+    fn scalar_reports(
+        sim: &PowerSimulator<'_>,
+        pairs: &[(Vec<bool>, Vec<bool>)],
+    ) -> Vec<CycleReport> {
+        pairs
+            .iter()
+            .map(|(v1, v2)| sim.cycle_report(v1, v2).unwrap())
+            .collect()
+    }
+
+    /// Every field equal, and `power_mw` / `switched_cap_ff` equal as bits.
+    fn assert_bitwise_eq(scalar: &[CycleReport], packed: &[CycleReport]) {
+        assert_eq!(scalar.len(), packed.len());
+        for (i, (s, p)) in scalar.iter().zip(packed).enumerate() {
+            assert_eq!(s, p, "pair {i}");
+            assert_eq!(
+                s.power_mw.to_bits(),
+                p.power_mw.to_bits(),
+                "pair {i} power bits"
+            );
+            assert_eq!(
+                s.switched_cap_ff.to_bits(),
+                p.switched_cap_ff.to_bits(),
+                "pair {i} cap bits"
+            );
+        }
+    }
+
+    fn assert_matches_scalar_on<B: Block>(
+        circuit: Iscas85,
+        delay: DelayModel,
+        count: usize,
+        seed: u64,
+    ) {
+        let c = generate(circuit, 7).unwrap();
         let sim = PowerSimulator::new(&c, delay, crate::PowerConfig::default());
         let packed: PackedSimulator<B> = PackedSimulator::new(&sim);
         let pairs = pairs_for(c.num_inputs(), count, seed);
-        let refs: Vec<(&[bool], &[bool])> = pairs
-            .iter()
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
-            .collect();
         let mut reports = Vec::new();
-        packed.cycle_reports_batch(&refs, &mut reports).unwrap();
-        assert_eq!(reports.len(), count);
-        for (i, (v1, v2)) in pairs.iter().enumerate() {
-            let scalar = sim.cycle_report(v1, v2).unwrap();
-            assert_eq!(scalar, reports[i], "pair {i}");
-            assert_eq!(
-                scalar.power_mw.to_bits(),
-                reports[i].power_mw.to_bits(),
-                "pair {i} power bits"
-            );
-        }
+        packed
+            .cycle_reports_batch(&refs_of(&pairs), &mut reports)
+            .unwrap();
+        assert_bitwise_eq(&scalar_reports(&sim, &pairs), &reports);
+    }
+
+    fn assert_matches_scalar<B: Block>(delay: DelayModel, count: usize, seed: u64) {
+        assert_matches_scalar_on::<B>(Iscas85::C432, delay, count, seed);
     }
 
     #[test]
@@ -350,6 +388,73 @@ mod tests {
     #[test]
     fn packed128_matches_scalar_under_fanout_delay() {
         assert_matches_scalar::<u128>(DelayModel::fanout_default(), 140, 23);
+    }
+
+    #[test]
+    fn packed_matches_scalar_on_c6288_unit_delay() {
+        // The glitch-heavy multiplier drives thousands of events per lane,
+        // far past the 255 adds at which the lane counters flush their
+        // bytes. 130 pairs: two full u64 words plus a partial word of 2.
+        assert_matches_scalar_on::<u64>(Iscas85::C6288, DelayModel::Unit, 130, 17);
+    }
+
+    #[test]
+    fn packed128_matches_scalar_on_c6288_unit_delay() {
+        // 260 pairs: two full u128 words plus a partial word of 4.
+        assert_matches_scalar_on::<u128>(Iscas85::C6288, DelayModel::Unit, 260, 17);
+    }
+
+    /// Sets the event budget to one below, then exactly at, the batch's
+    /// largest scalar event count: the first must fail, the second match
+    /// the scalar kernel, and the scratch must stay clean for later batches.
+    fn assert_budget_boundary<B: Block>() {
+        let c = generate(Iscas85::C432, 7).unwrap();
+        let sim = PowerSimulator::new(&c, DelayModel::Unit, crate::PowerConfig::default());
+        let mut packed: PackedSimulator<B> = PackedSimulator::new(&sim);
+        let default_budget = packed.budget;
+        let pairs = pairs_for(c.num_inputs(), 130, 29);
+        let scalar = scalar_reports(&sim, &pairs);
+        let max_events = scalar.iter().map(|r| r.events).max().unwrap() as usize;
+
+        let tight = max_events - 1;
+        packed.budget = tight;
+        let mut out = Vec::new();
+        let err = packed.cycle_reports_batch(&refs_of(&pairs), &mut out);
+        assert!(
+            matches!(err, Err(SimError::EventBudgetExhausted { budget }) if budget == tight),
+            "{err:?}"
+        );
+
+        packed.budget = max_events;
+        let mut reports = Vec::new();
+        packed
+            .cycle_reports_batch(&refs_of(&pairs), &mut reports)
+            .unwrap();
+        assert_bitwise_eq(&scalar, &reports);
+
+        // Fail once more, then a different batch under the default budget
+        // must see none of the abandoned word's pending lanes.
+        packed.budget = tight;
+        assert!(packed
+            .cycle_reports_batch(&refs_of(&pairs), &mut out)
+            .is_err());
+        packed.budget = default_budget;
+        let next = pairs_for(c.num_inputs(), 130, 31);
+        let mut reports = Vec::new();
+        packed
+            .cycle_reports_batch(&refs_of(&next), &mut reports)
+            .unwrap();
+        assert_bitwise_eq(&scalar_reports(&sim, &next), &reports);
+    }
+
+    #[test]
+    fn packed_event_budget_boundary_is_exact() {
+        assert_budget_boundary::<u64>();
+    }
+
+    #[test]
+    fn packed128_event_budget_boundary_is_exact() {
+        assert_budget_boundary::<u128>();
     }
 
     #[test]
@@ -400,15 +505,15 @@ mod tests {
         assert_eq!(KernelMode::parse("packed"), Some(KernelMode::Packed));
         assert_eq!(KernelMode::parse("packed128"), Some(KernelMode::Packed128));
         assert_eq!(KernelMode::parse("fast"), None);
-        // Auto resolves to the packed kernel for every delay model now
-        // that the timing path is lane-parallel too.
+        // Auto resolves to a packed kernel for every delay model: 128
+        // lanes for unit delay, 64 for zero and fanout delay.
         assert_eq!(
             KernelMode::Auto.resolve(DelayModel::Zero),
             KernelMode::Packed
         );
         assert_eq!(
             KernelMode::Auto.resolve(DelayModel::Unit),
-            KernelMode::Packed
+            KernelMode::Packed128
         );
         assert_eq!(
             KernelMode::Auto.resolve(DelayModel::fanout_default()),
@@ -421,6 +526,11 @@ mod tests {
         assert_eq!(
             KernelMode::Packed128.resolve(DelayModel::Unit),
             KernelMode::Packed128
+        );
+        // An explicit width is never overridden.
+        assert_eq!(
+            KernelMode::Packed.resolve(DelayModel::Unit),
+            KernelMode::Packed
         );
         assert_eq!(KernelMode::Packed.to_string(), "packed");
         assert_eq!(KernelMode::Packed128.to_string(), "packed128");

@@ -12,6 +12,15 @@
 //! evaluated word-wide once, and the lane mask picks out which lanes the
 //! result applies to.
 //!
+//! **Per-lane bookkeeping a word at a time.** Of a lane's report fields
+//! only `switched_cap_ff` depends on the order of its updates: it is an
+//! `f64` sum, so each lane still adds `caps[node]` one lane at a time in
+//! the scalar (time, node) order. `events` and `toggles` are counts, so a
+//! [`LaneCounter`] adds a whole drained or changed mask at once, eight
+//! lanes per table lookup; and `settle_time` is the last step in which a
+//! lane changed, so the changes of a step are OR-ed into one mask and
+//! stamped with `now` once when the step ends.
+//!
 //! **Bit-identity contract:** for each lane, the sequence of (time, node)
 //! evaluations, the toggle decisions, and therefore the f64 capacitance
 //! additions are exactly those of [`PowerSimulator::cycle_report`] on that
@@ -38,6 +47,69 @@ use crate::power::PowerConfig;
 /// Upper bound on [`Block::LANES`] across all supported widths (`u128`
 /// today); sizes the per-lane accumulator arrays.
 pub(crate) const MAX_LANES: usize = 128;
+
+/// `SPREAD[b]` holds bit `i` of `b` as byte `i`: eight one-byte 0/1
+/// counters, so adding `SPREAD[mask.byte(k)]` to a `u64` counts lanes
+/// `8k..8k + 8` of `mask` at once.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b] |= ((b as u64 >> i) & 1) << (8 * i);
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Exact per-lane counts fed one lane mask at a time.
+///
+/// Byte `i` of `bytes[k]` counts lane `8k + i` since the last flush. A
+/// byte can take 255 adds before it would overflow, so every 255th add
+/// flushes the bytes into `totals`; read `totals` only after a
+/// [`LaneCounter::flush`].
+struct LaneCounter {
+    bytes: [u64; MAX_LANES / 8],
+    adds: u32,
+    totals: [u64; MAX_LANES],
+}
+
+impl LaneCounter {
+    fn new() -> LaneCounter {
+        LaneCounter {
+            bytes: [0; MAX_LANES / 8],
+            adds: 0,
+            totals: [0; MAX_LANES],
+        }
+    }
+
+    /// Adds one to every lane set in `mask`.
+    #[inline]
+    fn add<B: Block>(&mut self, mask: B) {
+        for (k, acc) in self.bytes[..B::LANES / 8].iter_mut().enumerate() {
+            *acc += SPREAD[mask.byte(k) as usize];
+        }
+        self.adds += 1;
+        if self.adds == u32::from(u8::MAX) {
+            self.flush::<B>();
+        }
+    }
+
+    /// Moves the byte counts into `totals`.
+    fn flush<B: Block>(&mut self) {
+        let lanes = self.totals[..B::LANES].chunks_exact_mut(8);
+        for (acc, totals) in self.bytes.iter_mut().zip(lanes) {
+            for (i, total) in totals.iter_mut().enumerate() {
+                *total += (*acc >> (8 * i)) & 0xff;
+            }
+            *acc = 0;
+        }
+        self.adds = 0;
+    }
+}
 
 /// Reusable working memory of the packed event kernel.
 ///
@@ -133,10 +205,13 @@ pub(crate) fn cycle_reports_event<B: Block>(
 
     let active = B::low_mask(lanes);
     let mut cap = [0.0f64; MAX_LANES];
-    let mut toggles = [0u64; MAX_LANES];
-    let mut events = [0u64; MAX_LANES];
+    let mut toggles = LaneCounter::new();
+    let mut events = LaneCounter::new();
     let mut settle = [0u64; MAX_LANES];
     let mut pending = 0usize;
+    // Every drain adds at most one event to each lane, so no lane can
+    // exceed the budget while the word's drain count has not.
+    let mut drains = 0usize;
 
     // Apply the "after" vectors at t = 0 in input-declaration order:
     // input flips toggle immediately and schedule their fanouts.
@@ -147,12 +222,12 @@ pub(crate) fn cycle_reports_event<B: Block>(
             continue;
         }
         scratch.values[i] ^= diff;
+        toggles.add(diff);
         let mut d = diff;
         while !d.is_zero() {
             let lane = d.trailing_zeros() as usize;
             d = d.clear_lowest();
             cap[lane] += caps[i];
-            toggles[lane] += 1;
         }
         for &f in evaluator.fanout_of(i) {
             let time = delays[f as usize];
@@ -171,6 +246,8 @@ pub(crate) fn cycle_reports_event<B: Block>(
         // through glitch counts and the f64 addition sequence, exactly as
         // in the scalar wheel.
         scratch.slot_nodes[slot].sort_unstable();
+        // Lanes with a toggle at `now`; their settle time is `now`.
+        let mut step_changed = B::ZERO;
         // New schedules land at `now + d` with `1 <= d <= max_delay`,
         // never back onto `slot`, so indexed iteration over a stable
         // bucket is safe while other buckets grow.
@@ -181,20 +258,16 @@ pub(crate) fn cycle_reports_event<B: Block>(
             pending -= 1;
             let mask = scratch.masks[slot * n + node];
             scratch.masks[slot * n + node] = B::ZERO;
-            // Per-lane event accounting mirrors the scalar kernel's
-            // coalesced count: one event per lane per (node, time).
-            let mut over_budget = false;
-            let mut m = mask;
-            while !m.is_zero() {
-                let lane = m.trailing_zeros() as usize;
-                m = m.clear_lowest();
-                events[lane] += 1;
-                over_budget |= events[lane] as usize > budget;
-            }
-            if over_budget {
-                scratch.slot_nodes[slot].truncate(idx);
-                clear_pending(scratch, n);
-                return Err(SimError::EventBudgetExhausted { budget });
+            // One event per lane per (node, time), the scalar kernel's
+            // coalesced count.
+            events.add(mask);
+            drains += 1;
+            if drains > budget {
+                events.flush::<B>();
+                if events.totals[..lanes].iter().any(|&e| e as usize > budget) {
+                    clear_pending(scratch, n);
+                    return Err(SimError::EventBudgetExhausted { budget });
+                }
             }
             if evaluator.kind(node) == GateKind::Input {
                 continue;
@@ -205,14 +278,13 @@ pub(crate) fn cycle_reports_event<B: Block>(
                 continue;
             }
             scratch.values[node] ^= changed;
+            toggles.add(changed);
+            step_changed |= changed;
             let mut c = changed;
             while !c.is_zero() {
                 let lane = c.trailing_zeros() as usize;
                 c = c.clear_lowest();
                 cap[lane] += caps[node];
-                toggles[lane] += 1;
-                // `now` is monotone, so assignment implements `max`.
-                settle[lane] = now;
             }
             for &f in evaluator.fanout_of(node) {
                 let time = now + delays[f as usize];
@@ -220,16 +292,58 @@ pub(crate) fn cycle_reports_event<B: Block>(
             }
         }
         scratch.slot_nodes[slot].clear();
+        // `now` is monotone, so assignment implements `max`.
+        while !step_changed.is_zero() {
+            settle[step_changed.trailing_zeros() as usize] = now;
+            step_changed = step_changed.clear_lowest();
+        }
     }
 
+    events.flush::<B>();
+    toggles.flush::<B>();
     for lane in 0..lanes {
         out.push(CycleReport {
             power_mw: config.power_mw(cap[lane]),
             switched_cap_ff: cap[lane],
-            toggles: toggles[lane],
-            events: events[lane],
+            toggles: toggles.totals[lane],
+            events: events.totals[lane],
             settle_time: settle[lane],
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spread_places_bit_i_in_byte_i() {
+        for (b, spread) in SPREAD.iter().enumerate() {
+            for i in 0..8 {
+                assert_eq!((spread >> (8 * i)) & 0xff, (b as u64 >> i) & 1);
+            }
+        }
+    }
+
+    fn counts_past_byte_overflow<B: Block>() {
+        // Lane 0 in every add, lane LANES-1 in every other: both pass 255
+        // several times, so a missed flush would wrap a byte.
+        let every = B::lane_mask(0);
+        let alternate = B::lane_mask(B::LANES - 1);
+        let mut counter = LaneCounter::new();
+        for i in 0..1000 {
+            counter.add(if i % 2 == 0 { every | alternate } else { every });
+        }
+        counter.flush::<B>();
+        assert_eq!(counter.totals[0], 1000);
+        assert_eq!(counter.totals[B::LANES - 1], 500);
+        assert_eq!(counter.totals[..B::LANES].iter().sum::<u64>(), 1500);
+    }
+
+    #[test]
+    fn lane_counter_is_exact_past_byte_overflow() {
+        counts_past_byte_overflow::<u64>();
+        counts_past_byte_overflow::<u128>();
+    }
 }
