@@ -1,5 +1,18 @@
-//! The execution engine behind [`Session`](crate::session::Session): a
-//! sequential core plus a deterministic parallel driver.
+//! The execution engine behind [`Session`](crate::session::Session): the
+//! paper's Figure 4 loop — draw a hyper-sample, fold it into the
+//! t-interval, stop when the interval is tight enough — run the same way
+//! at every worker count.
+//!
+//! [`Worker::step`] claims an index (retry queue, then the worker's own
+//! claimed indices, then an atomic counter), announces the next
+//! [`plan_lookahead`](crate::PowerSource::plan_lookahead) indices it will
+//! generate, and generates the claimed one under `catch_unwind`.
+//! [`Coordinator::absorb`] buffers each result, commits in index order
+//! through the [`Committer`], and after **every** commit evaluates the
+//! stopping rule and then the supervisor, so a stop leaves exactly the
+//! committed prefix. With one worker the calling thread alternates the
+//! two, with no thread and no channel; with more, each worker runs on a
+//! scoped thread and sends its events over a bounded channel.
 //!
 //! # Determinism model
 //!
@@ -10,23 +23,21 @@
 //! reset any per-index source state. Generation of hyper-sample `k` is
 //! therefore a pure function of `(config, master_seed, k)` — it does not
 //! matter *which thread* computes it, only that results are **committed in
-//! index order**. The parallel driver hands out indices through an atomic
-//! counter, reorders completions in a buffer, and feeds them to the same
-//! [`Committer`] the sequential core uses, so the estimate, the
-//! convergence history, the checkpoint sequence and the stopping decision
-//! are bit-identical for any worker count.
+//! index order**, so the estimate, the convergence history, the checkpoint
+//! sequence and the stopping decision are bit-identical for any worker
+//! count.
 //!
-//! Workers race ahead of the stopping rule by design; hyper-samples beyond
-//! the stopping index are discarded without being committed. The committed
-//! accounting (`units_used`, history, checkpoints) is unaffected;
-//! telemetry, which records work *actually performed*, does count the
-//! speculative draws on the worker lanes that performed them.
+//! Pool workers race ahead of the stopping rule by design; hyper-samples
+//! beyond the stopping index are discarded without being committed. The
+//! committed accounting (`units_used`, history, checkpoints) is
+//! unaffected; telemetry, which records work *actually performed*, does
+//! count the speculative draws on the worker lanes that performed them.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -43,8 +54,9 @@ use crate::error::MaxPowerError;
 use crate::estimator::{EstimateHistoryEntry, MaxPowerEstimate};
 use crate::health::{EstimatorKind, FitDiagnostics, RunHealth, RunStatus};
 use crate::hyper::{generate_hyper_sample, HyperSample, HyperSampleContext};
-use crate::source::{LaneStats, PowerSource, PowerSourceFactory};
-use crate::supervise::{panic_message, StopReason, Supervision, Supervisor};
+use crate::session::{RunOptions, Session};
+use crate::source::{LaneStats, PowerSource};
+use crate::supervise::{panic_message, StopReason, Supervisor};
 
 /// Deterministic panics (hyper-sample `k` is a pure function of config,
 /// seed and index) cannot be fixed by requeueing: after this many panics
@@ -52,9 +64,10 @@ use crate::supervise::{panic_message, StopReason, Supervision, Supervisor};
 /// [`MaxPowerError::Panicked`].
 const MAX_PANICS_PER_INDEX: usize = 3;
 
-/// Coordinator wake-up period while supervision or the stall watchdog is
-/// active: the latency bound on noticing a cancellation/deadline with no
-/// worker results arriving. Unsupervised runs never tick.
+/// Coordinator wake-up period of a threaded run while supervision or the
+/// stall watchdog is active: the latency bound on noticing a
+/// cancellation/deadline with no worker results arriving. Unsupervised and
+/// single-worker runs never tick.
 const SUPERVISION_TICK: Duration = Duration::from_millis(100);
 
 /// Live (deserialized) estimator state shared by fresh and resumed runs.
@@ -206,9 +219,7 @@ fn finish(
 
 /// The single place hyper-samples enter the run: absorbs each one into the
 /// run state in index order, records history/telemetry/checkpoints, and
-/// evaluates the stopping rule. Both the sequential core and the parallel
-/// coordinator drive a `Committer`, which is what makes their results
-/// bit-identical.
+/// evaluates the stopping rule.
 struct Committer<'a> {
     /// Resolved configuration (finite population already picked up).
     config: EstimationConfig,
@@ -261,18 +272,6 @@ impl Committer<'_> {
                 hyper_samples: self.state.estimates.len(),
             }),
         }
-    }
-
-    /// Records a recovered worker panic in the run's health ledger (the
-    /// affected hyper-sample is re-derived on a healthy worker, so the
-    /// estimate itself is unaffected).
-    fn record_worker_panic(&mut self) {
-        self.state.health.worker_restarts += 1;
-    }
-
-    /// Records a stall-watchdog flag in the run's health ledger.
-    fn record_worker_stall(&mut self) {
-        self.state.health.worker_stalls += 1;
     }
 
     /// Absorbs hyper-sample `k` (which must be the next index) into the
@@ -348,26 +347,38 @@ impl Committer<'_> {
     }
 }
 
-/// Validates the configuration, resolves the finite population from the
-/// source if unset, verifies the checkpoint, and assembles the
-/// [`Committer`] shared by both execution modes.
-fn prepare<'a, 's: 'a>(
-    config: &EstimationConfig,
-    telemetry: &'a Telemetry,
-    source_population: Option<u64>,
-    master_seed: u64,
-    resume: Option<&Checkpoint>,
-    save: Option<&'a mut (dyn FnMut(&Checkpoint) + 's)>,
-) -> Result<Committer<'a>, MaxPowerError> {
-    config.validate()?;
-    let mut config = *config;
+/// Where a run's hyper-samples are generated.
+pub(crate) enum Workers<'a> {
+    /// On the calling thread, from one source: no thread, no channel.
+    Inline(&'a mut dyn PowerSource),
+    /// On one scoped thread per source.
+    Threads(Vec<Box<dyn PowerSource + Send + 'a>>),
+}
+
+type Outcome = Result<MaxPowerEstimate, MaxPowerError>;
+
+/// Runs the iterative procedure (paper Figure 4) for `session` to its end:
+/// the stopping rule, a supervision stop, or an error. Validates the
+/// configuration, takes the finite population from the sources if unset,
+/// and verifies the resume checkpoint first.
+pub(crate) fn run(session: &Session, opts: RunOptions<'_>, workers: Workers<'_>) -> Outcome {
+    let (population, worker_count) = match &workers {
+        Workers::Inline(source) => (source.population_size(), 1),
+        Workers::Threads(sources) => (
+            sources.first().and_then(|s| s.population_size()),
+            sources.len(),
+        ),
+    };
+    let telemetry = session.telemetry();
+    session.config().validate()?;
+    let mut config = *session.config();
     if config.finite_population.is_none() {
-        config.finite_population = source_population;
+        config.finite_population = population;
     }
     let fingerprint = config_fingerprint(&config);
-    let state = match resume {
+    let state = match opts.resume {
         Some(cp) => {
-            cp.verify(fingerprint, master_seed)?;
+            cp.verify(fingerprint, opts.seed)?;
             // Carry the earlier segments' phase durations and counters
             // forward so post-resume telemetry reports the whole run.
             if let Some(summary) = &cp.telemetry {
@@ -377,82 +388,286 @@ fn prepare<'a, 's: 'a>(
         }
         None => RunState::new(),
     };
-    Ok(Committer {
-        config,
-        telemetry,
-        state,
-        fingerprint,
-        master_seed,
-        save: save.map(|save| save as &mut dyn FnMut(&Checkpoint)),
+    let committed = state.estimates.len();
+    let supervision = opts.supervision();
+    let mut ctx = HyperSampleContext::new(&config);
+    if let Some(token) = &supervision.cancel {
+        ctx = ctx.with_cancel(token.clone());
+    }
+    let shared = Shared {
+        ctx,
+        master_seed: opts.seed,
+        next_k: AtomicUsize::new(committed),
+        retry: Mutex::new(VecDeque::new()),
+        heartbeats: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
+        started: Instant::now(),
+    };
+    let mut coordinator = Coordinator {
+        committer: Committer {
+            config,
+            telemetry,
+            state,
+            fingerprint,
+            master_seed: opts.seed,
+            save: opts.save.map(|save| save as &mut dyn FnMut(&Checkpoint)),
+        },
+        supervisor: Supervisor::new(&supervision, committed),
+        shared: &shared,
+        buffer: BTreeMap::new(),
+        panics_by_index: HashMap::new(),
+        last_panic_context: None,
+        // A lone worker's heartbeat only moves between the hyper-samples
+        // it commits, so the watchdog needs a second worker to watch.
+        stall_timeout: supervision
+            .budget
+            .stall_timeout
+            .filter(|_| worker_count > 1),
+        stall_flagged: vec![false; worker_count],
+    };
+
+    let _run_span = telemetry.span(SpanKind::Run);
+    // A resumed run that already satisfies its target (or is stopped
+    // before its first draw) returns without generating anything.
+    if let Some(outcome) = coordinator.settle() {
+        return outcome;
+    }
+    match workers {
+        Workers::Inline(source) => {
+            let mut worker = Worker::new(0, source, telemetry.clone(), None, &shared);
+            loop {
+                let event = worker.step(&shared);
+                let retired = event.retires();
+                if let Some(outcome) = coordinator.absorb(event) {
+                    return outcome;
+                }
+                if retired {
+                    return Err(coordinator.all_workers_exited());
+                }
+            }
+        }
+        Workers::Threads(sources) => run_threads(&mut coordinator, sources),
+    }
+}
+
+/// The threaded driver: one scoped thread per source runs
+/// [`Worker::step`] and sends each event over a bounded channel; this
+/// thread feeds them to the coordinator, with a [`SUPERVISION_TICK`]
+/// timeout standing in as a tick when supervision or the stall watchdog
+/// is on.
+fn run_threads(
+    coordinator: &mut Coordinator<'_, '_>,
+    sources: Vec<Box<dyn PowerSource + Send + '_>>,
+) -> Outcome {
+    let shared = coordinator.shared;
+    let telemetry = coordinator.committer.telemetry;
+    let ticking = coordinator.supervisor.is_active() || coordinator.stall_timeout.is_some();
+    let stop = AtomicBool::new(false);
+    let (tx, rx) = mpsc::sync_channel::<Event>(sources.len().saturating_mul(2));
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(sources.len());
+        for (w, mut source) in sources.into_iter().enumerate() {
+            let tx = tx.clone();
+            let stop = &stop;
+            let worker_telemetry = telemetry.for_worker(w as u64);
+            handles.push(scope.spawn(move || {
+                let counter = Some(names::worker_hyper_samples(w));
+                let mut worker = Worker::new(w, &mut *source, worker_telemetry, counter, shared);
+                while !stop.load(Ordering::Acquire) {
+                    let event = worker.step(shared);
+                    let retired = event.retires();
+                    // A send fails only after the coordinator finished and
+                    // dropped the receiver — normal shutdown.
+                    if tx.send(event).is_err() || retired {
+                        break;
+                    }
+                }
+            }));
+        }
+        drop(tx);
+
+        let outcome = loop {
+            let received = if ticking {
+                match rx.recv_timeout(SUPERVISION_TICK) {
+                    Ok(event) => Some(event),
+                    Err(RecvTimeoutError::Timeout) => Some(Event::Tick),
+                    Err(RecvTimeoutError::Disconnected) => None,
+                }
+            } else {
+                rx.recv().ok()
+            };
+            // Every worker exited without a stopping decision: each taken
+            // index was sent before its worker broke, so every worker
+            // panic-retired, or this is a bug. Fail loudly either way.
+            let Some(event) = received else {
+                break Err(coordinator.all_workers_exited());
+            };
+            if let Some(outcome) = coordinator.absorb(event) {
+                break outcome;
+            }
+        };
+        // Unblock and retire the workers: any sender blocked on the bounded
+        // channel errors out once the receiver drops.
+        stop.store(true, Ordering::Release);
+        drop(rx);
+        // Join every worker explicitly: a panic that escaped its
+        // `catch_unwind` (outside hyper-sample generation) surfaces as an
+        // error here instead of re-panicking out of the scope.
+        let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
+        if joined.iter().any(Result::is_err) {
+            return Err(MaxPowerError::Source {
+                message: "a parallel estimation worker panicked".to_string(),
+            });
+        }
+        outcome
     })
 }
 
-/// The sequential core: one thread, hyper-samples generated and committed
-/// in lock-step. Exactly the semantics of the original estimator loop —
-/// the session's `workers = 1` path lands here.
-pub(crate) fn run_sequential(
-    config: &EstimationConfig,
-    telemetry: &Telemetry,
-    source: &mut dyn PowerSource,
+/// What the workers share with each other and with the coordinator.
+struct Shared<'a> {
+    /// The resolved configuration and cancel token; each worker adds its
+    /// own telemetry handle.
+    ctx: HyperSampleContext<'a>,
     master_seed: u64,
-    resume: Option<&Checkpoint>,
-    save: Option<&mut dyn FnMut(&Checkpoint)>,
-    supervision: &Supervision,
-) -> Result<MaxPowerEstimate, MaxPowerError> {
-    let mut committer = prepare(
-        config,
-        telemetry,
-        source.population_size(),
-        master_seed,
-        resume,
-        save,
-    )?;
-    let config = committer.config;
-    let supervisor = Supervisor::new(supervision, committer.next_k());
-    // Cross-hyper-sample lane batching: announce the next `lookahead`
-    // indices before generating each one, so the source can prefetch their
-    // pairs into the spare lanes of the current hyper-sample's sweeps.
-    let lookahead = source.plan_lookahead(config.sample_size);
-    let expected_units = config.sample_size.saturating_mul(config.samples_per_hyper);
-    let mut lane_seen = LaneStats::default();
+    /// The lowest index no worker has claimed yet.
+    next_k: AtomicUsize,
+    /// Indices handed back by panicked workers, claimed before fresh ones.
+    retry: Mutex<VecDeque<usize>>,
+    /// Per-worker liveness stamps (ms since `started`), read by the stall
+    /// watchdog.
+    heartbeats: Vec<AtomicU64>,
+    started: Instant,
+}
 
-    let _run_span = telemetry.span(SpanKind::Run);
-    loop {
-        if let Some(estimate) = committer.decide()? {
-            return Ok(estimate);
+impl Shared<'_> {
+    fn retry_queue(&self) -> MutexGuard<'_, VecDeque<usize>> {
+        self.retry
+            .lock()
+            .expect("no code panics while holding the retry queue")
+    }
+}
+
+/// One message from a worker to the coordinator.
+enum Event {
+    /// Hyper-sample `k` was generated (or failed with an engine error).
+    Done {
+        k: usize,
+        result: Result<HyperSample, MaxPowerError>,
+    },
+    /// The worker panicked while generating hyper-sample `k` and retired.
+    /// The coordinator requeues `k` for a healthy worker — hyper-samples
+    /// are pure functions of `(config, seed, k)`, so the re-derived result
+    /// is bit-identical to what the panicked worker would have produced.
+    Panicked { k: usize, context: String },
+    /// No worker result arrived within [`SUPERVISION_TICK`].
+    Tick,
+}
+
+impl Event {
+    /// Whether the worker that produced this event stops: after a panic
+    /// (its source may be poisoned) or an engine error (which ends the run
+    /// unless the stopping index lies before it).
+    fn retires(&self) -> bool {
+        !matches!(self, Event::Done { result: Ok(_), .. })
+    }
+}
+
+/// One worker: a source and the indices it has claimed ahead. The same
+/// body runs on the calling thread (one worker) and on every pool thread.
+struct Worker<'a, 's> {
+    id: usize,
+    source: &'s mut dyn PowerSource,
+    ctx: HyperSampleContext<'a>,
+    /// `worker{id}_hyper_samples` on a pool thread; the inline worker
+    /// counts nothing beyond the run's own counters.
+    counter: Option<String>,
+    /// How many indices past the current one the source wants announced.
+    lookahead: usize,
+    /// Claimed indices not yet generated, ascending.
+    claimed: VecDeque<usize>,
+    lane_seen: LaneStats,
+}
+
+impl<'a, 's> Worker<'a, 's> {
+    fn new(
+        id: usize,
+        source: &'s mut dyn PowerSource,
+        telemetry: Telemetry,
+        counter: Option<String>,
+        shared: &Shared<'a>,
+    ) -> Self {
+        Worker {
+            id,
+            lookahead: source.plan_lookahead(shared.ctx.config().sample_size),
+            source,
+            ctx: shared.ctx.clone().with_telemetry(telemetry),
+            counter,
+            claimed: VecDeque::new(),
+            lane_seen: LaneStats::default(),
         }
-        if supervisor.is_active() {
-            if let Some(reason) = supervisor.check(committer.next_k()) {
-                return committer.finish_interrupted(reason);
-            }
+    }
+
+    /// Claims an index (retry queue, then this worker's claimed indices,
+    /// then the shared counter), announces the next `lookahead` indices
+    /// this worker will generate, and generates the claimed one under
+    /// `catch_unwind` on its own derived stream.
+    fn step(&mut self, shared: &Shared<'_>) -> Event {
+        let beat = shared.started.elapsed().as_millis() as u64;
+        shared.heartbeats[self.id].store(beat, Ordering::Relaxed);
+        let requeued = shared.retry_queue().pop_front();
+        // Keep `lookahead` indices claimed beyond the one generated now, so
+        // the source can prefetch them into this one's spare lanes.
+        let window = self.lookahead + usize::from(requeued.is_none());
+        if self.claimed.len() < window {
+            let more = window - self.claimed.len();
+            let base = shared.next_k.fetch_add(more, Ordering::Relaxed);
+            self.claimed.extend(base..base + more);
         }
-        let k = committer.next_k();
-        if lookahead > 0 {
-            let upcoming: Vec<u64> = (1..=lookahead).map(|d| (k + d) as u64).collect();
-            source.plan_hyper_samples(master_seed, &upcoming, expected_units);
+        let k = match requeued {
+            Some(k) => k,
+            None => self
+                .claimed
+                .pop_front()
+                .expect("the window holds the next index"),
+        };
+        if !self.claimed.is_empty() {
+            let upcoming: Vec<u64> = self.claimed.iter().map(|&i| i as u64).collect();
+            let config = shared.ctx.config();
+            let expected_units = config.sample_size.saturating_mul(config.samples_per_hyper);
+            self.source
+                .plan_hyper_samples(shared.master_seed, &upcoming, expected_units);
         }
-        let generated: Result<HyperSample, MaxPowerError> = {
+
+        let telemetry = self.ctx.telemetry();
+        let generated = catch_unwind(AssertUnwindSafe(|| {
             let _hyper_span = telemetry.span(SpanKind::HyperSample);
-            let mut ctx = HyperSampleContext::new(&config).with_telemetry(telemetry.clone());
-            if let Some(token) = &supervision.cancel {
-                ctx = ctx.with_cancel(token.clone());
+            self.source.begin_hyper_sample(k as u64);
+            let mut rng = SmallRng::seed_from_u64(derive_seed(shared.master_seed, k));
+            generate_hyper_sample(&mut *self.source, &self.ctx, &mut rng)
+        }));
+        match generated {
+            Ok(result) => {
+                if let Some(counter) = &self.counter {
+                    telemetry.counter(counter, 1);
+                }
+                publish_lane_stats(telemetry, self.source.lane_stats(), &mut self.lane_seen);
+                Event::Done { k, result }
             }
-            source.begin_hyper_sample(k as u64);
-            let mut hyper_rng = SmallRng::seed_from_u64(derive_seed(master_seed, k));
-            generate_hyper_sample(source, &ctx, &mut hyper_rng)
-        };
-        let hyper = match generated {
-            Ok(hyper) => hyper,
-            // Cancellation observed mid-generation: the in-flight
-            // hyper-sample is abandoned (it will be re-derived identically
-            // on resume) and the committed prefix becomes the result.
-            Err(MaxPowerError::Interrupted { reason, .. }) => {
-                return committer.finish_interrupted(reason)
+            Err(payload) => {
+                // The source may be mid-mutation, so this worker retires.
+                // Its claimed indices go back too: no other worker would
+                // reach them (the coordinator requeues only `k` itself).
+                shared.retry_queue().extend(self.claimed.drain(..));
+                telemetry.counter(names::WORKER_PANICS, 1);
+                Event::Panicked {
+                    k,
+                    context: format!(
+                        "hyper-sample {k} panicked on worker {}: {}",
+                        self.id,
+                        panic_message(payload.as_ref())
+                    ),
+                }
             }
-            Err(e) => return Err(e),
-        };
-        publish_lane_stats(telemetry, source.lane_stats(), &mut lane_seen);
-        committer.commit(hyper)?;
+        }
     }
 }
 
@@ -478,365 +693,136 @@ fn publish_lane_stats(telemetry: &Telemetry, stats: Option<LaneStats>, seen: &mu
     *seen = stats;
 }
 
-/// One message from a worker to the coordinator.
-enum WorkerEvent {
-    /// Hyper-sample `k` was generated (or failed with an engine error).
-    Done {
-        k: usize,
-        result: Result<HyperSample, MaxPowerError>,
-    },
-    /// The worker panicked while generating hyper-sample `k` and retired.
-    /// The coordinator requeues `k` for a healthy worker — hyper-samples
-    /// are pure functions of `(config, seed, k)`, so the re-derived result
-    /// is bit-identical to what the panicked worker would have produced.
-    Panicked { k: usize, context: String },
-}
-
-/// The deterministic parallel driver: `workers` threads generate
-/// hyper-samples speculatively (each index on its own derived RNG stream),
-/// a reorder buffer commits them strictly in index order, and the stopping
-/// rule runs on the committed prefix only — so the result is bit-identical
-/// to [`run_sequential`] in derived-RNG mode, for any worker count.
-///
-/// Sources are spawned from the factory on this thread before any worker
-/// starts; each worker owns its source for the whole run.
-///
-/// Robustness (all of it off the hot path unless opted into):
-///
-/// * each worker's generation step runs under `catch_unwind`; a panic
-///   retires that worker (its source may be poisoned) and the coordinator
-///   requeues the index, escalating to [`MaxPowerError::Panicked`] after
-///   [`MAX_PANICS_PER_INDEX`] panics on the same index;
-/// * with supervision active the coordinator wakes every
-///   [`SUPERVISION_TICK`] to evaluate the stop conditions; on a stop it
-///   commits the contiguous buffered prefix and returns the partial
-///   estimate via [`Committer::finish_interrupted`];
-/// * with a stall timeout configured, workers stamp a heartbeat gauge per
-///   hyper-sample and the coordinator flags workers whose heartbeat goes
-///   stale (observability only — the estimate never depends on it).
-#[allow(clippy::too_many_arguments)] // crate-private; mirrors run_sequential
-pub(crate) fn run_parallel<F: PowerSourceFactory>(
-    config: &EstimationConfig,
-    telemetry: &Telemetry,
-    factory: &F,
-    workers: usize,
-    master_seed: u64,
-    resume: Option<&Checkpoint>,
-    save: Option<&mut dyn FnMut(&Checkpoint)>,
-    supervision: &Supervision,
-) -> Result<MaxPowerEstimate, MaxPowerError> {
-    let mut sources = Vec::with_capacity(workers);
-    for w in 0..workers {
-        sources.push(factory.spawn_source(w)?);
-    }
-    let population = sources.first().and_then(|s| s.population_size());
-    let mut committer = prepare(config, telemetry, population, master_seed, resume, save)?;
-    let config = committer.config;
-    let supervisor = Supervisor::new(supervision, committer.next_k());
-    // recv_timeout ticks are only paid when something can actually use
-    // them; otherwise the coordinator blocks exactly as before.
-    let supervised = supervisor.is_active() || supervisor.stall_timeout().is_some();
-
-    let _run_span = telemetry.span(SpanKind::Run);
-    // A resumed run that already satisfies its target returns without
-    // spawning a single thread.
-    if let Some(estimate) = committer.decide()? {
-        return Ok(estimate);
-    }
-
-    let next_k = AtomicUsize::new(committer.next_k());
-    let stop = AtomicBool::new(false);
-    // Indices reclaimed from panicked workers; drained before the atomic
-    // counter so a requeued index is regenerated promptly.
-    let retry_queue: Mutex<VecDeque<usize>> = Mutex::new(VecDeque::new());
-    // Per-worker liveness stamps (ms since run start), written by workers,
-    // read by the coordinator's stall watchdog.
-    let heartbeats: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let run_started = Instant::now();
-    let (tx, rx) = mpsc::sync_channel::<WorkerEvent>(workers.saturating_mul(2));
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (w, mut source) in sources.into_iter().enumerate() {
-            let tx = tx.clone();
-            let next_k = &next_k;
-            let stop = &stop;
-            let retry_queue = &retry_queue;
-            let heartbeat = &heartbeats[w];
-            let config = &config;
-            let cancel = supervision.cancel.clone();
-            let worker_telemetry = telemetry.for_worker(w as u64);
-            handles.push(scope.spawn(move || {
-                let mut ctx =
-                    HyperSampleContext::new(config).with_telemetry(worker_telemetry.clone());
-                if let Some(token) = cancel {
-                    ctx = ctx.with_cancel(token);
-                }
-                // A batching source claims a *block* of consecutive indices
-                // per atomic fetch (lookahead + 1) and announces the tail,
-                // so the spare lanes of the index being generated always
-                // have this worker's own future indices to prefetch for.
-                // Non-batching sources keep the one-index claim exactly as
-                // before.
-                let claim = source.plan_lookahead(config.sample_size).saturating_add(1);
-                let expected_units = config.sample_size.saturating_mul(config.samples_per_hyper);
-                let mut local: VecDeque<usize> = VecDeque::new();
-                let mut lane_seen = LaneStats::default();
-                loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    heartbeat.store(run_started.elapsed().as_millis() as u64, Ordering::Relaxed);
-                    let requeued = retry_queue
-                        .lock()
-                        .ok()
-                        .and_then(|mut queue| queue.pop_front());
-                    let k = match requeued {
-                        Some(k) => k,
-                        None => match local.pop_front() {
-                            Some(k) => k,
-                            None => {
-                                let base = next_k.fetch_add(claim, Ordering::Relaxed);
-                                local.extend(base + 1..base + claim);
-                                if !local.is_empty() {
-                                    let upcoming: Vec<u64> =
-                                        local.iter().map(|&i| i as u64).collect();
-                                    source.plan_hyper_samples(
-                                        master_seed,
-                                        &upcoming,
-                                        expected_units,
-                                    );
-                                }
-                                base
-                            }
-                        },
-                    };
-                    let generated = catch_unwind(AssertUnwindSafe(|| {
-                        let _hyper_span = worker_telemetry.span(SpanKind::HyperSample);
-                        source.begin_hyper_sample(k as u64);
-                        let mut rng = SmallRng::seed_from_u64(derive_seed(master_seed, k));
-                        generate_hyper_sample(&mut source, &ctx, &mut rng)
-                    }));
-                    match generated {
-                        Ok(result) => {
-                            worker_telemetry.counter(&names::worker_hyper_samples(w), 1);
-                            publish_lane_stats(
-                                &worker_telemetry,
-                                source.lane_stats(),
-                                &mut lane_seen,
-                            );
-                            let failed = result.is_err();
-                            // A send fails only after the coordinator decided
-                            // and dropped the receiver — normal shutdown.
-                            if tx.send(WorkerEvent::Done { k, result }).is_err() {
-                                break;
-                            }
-                            if failed {
-                                // This worker's error will abort the run unless
-                                // the stopping index lies before it; either way
-                                // there is no point continuing on this source.
-                                break;
-                            }
-                        }
-                        Err(payload) => {
-                            // The source may be mid-mutation: retire this
-                            // worker and hand the index back — along with
-                            // any indices it claimed but never generated,
-                            // which no other worker would otherwise reach
-                            // (the coordinator requeues only `k` itself).
-                            if let Ok(mut queue) = retry_queue.lock() {
-                                queue.extend(local.drain(..));
-                            }
-                            let context = format!(
-                                "hyper-sample {k} panicked on worker {w}: {}",
-                                panic_message(payload.as_ref())
-                            );
-                            worker_telemetry.counter(names::WORKER_PANICS, 1);
-                            let _ = tx.send(WorkerEvent::Panicked { k, context });
-                            break;
-                        }
-                    }
-                }
-            }));
-        }
-        drop(tx);
-
-        // Coordinator (this thread): reorder completions and commit
-        // strictly in index order, deciding after each commit exactly as
-        // the sequential core does.
-        let mut buffer: BTreeMap<usize, Result<HyperSample, MaxPowerError>> = BTreeMap::new();
-        let mut panics_by_index: HashMap<usize, usize> = HashMap::new();
-        let mut last_panic_context: Option<String> = None;
-        let mut stall_flagged = vec![false; workers];
-        let mut outcome: Option<Result<MaxPowerEstimate, MaxPowerError>> = None;
-        'recv: while outcome.is_none() {
-            if supervised {
-                if let Some(reason) = supervisor.check(committer.next_k()) {
-                    // Stop requested: commit the contiguous prefix already
-                    // buffered (so the final checkpoint and the partial
-                    // estimate include it), then finish. If the drained
-                    // prefix happens to satisfy the stopping rule, the run
-                    // completes normally instead.
-                    let mut drained: Option<Result<MaxPowerEstimate, MaxPowerError>> = None;
-                    while drained.is_none() {
-                        match buffer.remove(&committer.next_k()) {
-                            Some(Ok(hyper)) => {
-                                if let Err(e) = committer.commit(hyper) {
-                                    drained = Some(Err(e));
-                                    break;
-                                }
-                                match committer.decide() {
-                                    Ok(Some(estimate)) => drained = Some(Ok(estimate)),
-                                    Ok(None) => {}
-                                    Err(e) => drained = Some(Err(e)),
-                                }
-                            }
-                            // A buffered error beyond the stop point does not
-                            // outrank the stop itself.
-                            Some(Err(_)) | None => break,
-                        }
-                    }
-                    outcome = Some(match drained {
-                        Some(result) => result,
-                        None => committer.finish_interrupted(reason),
-                    });
-                    break 'recv;
-                }
-                if let Some(timeout) = supervisor.stall_timeout() {
-                    let now_ms = run_started.elapsed().as_millis() as u64;
-                    let timeout_ms = timeout.as_millis() as u64;
-                    for (w, hb) in heartbeats.iter().enumerate() {
-                        let hb_ms = hb.load(Ordering::Relaxed);
-                        if !stall_flagged[w] && now_ms.saturating_sub(hb_ms) > timeout_ms {
-                            // Flagged once per worker: a wedged worker is an
-                            // incident, not a per-tick event.
-                            stall_flagged[w] = true;
-                            committer.record_worker_stall();
-                            telemetry.counter(names::WORKER_STALLS, 1);
-                            telemetry.gauge(&names::worker_heartbeat(w), hb_ms as f64);
-                        }
-                    }
-                }
-            }
-
-            let event = if supervised {
-                match rx.recv_timeout(SUPERVISION_TICK) {
-                    Ok(event) => event,
-                    Err(RecvTimeoutError::Timeout) => continue 'recv,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        outcome = Some(Err(all_workers_exited(
-                            &panics_by_index,
-                            last_panic_context.take(),
-                        )));
-                        break 'recv;
-                    }
-                }
-            } else {
-                match rx.recv() {
-                    Ok(event) => event,
-                    Err(_) => {
-                        // All workers exited without a stopping decision:
-                        // every taken index was sent before its worker broke,
-                        // so the committed prefix ends at an error we have
-                        // already surfaced, every worker panic-retired, or a
-                        // bug. Fail loudly either way.
-                        outcome = Some(Err(all_workers_exited(
-                            &panics_by_index,
-                            last_panic_context.take(),
-                        )));
-                        break 'recv;
-                    }
-                }
-            };
-
-            let (k, result) = match event {
-                WorkerEvent::Done { k, result } => (k, result),
-                WorkerEvent::Panicked { k, context } => {
-                    let count = panics_by_index.entry(k).or_insert(0);
-                    *count += 1;
-                    if *count >= MAX_PANICS_PER_INDEX {
-                        // Deterministic panic: every retry hit it too.
-                        outcome = Some(Err(MaxPowerError::Panicked {
-                            context,
-                            panics: *count,
-                        }));
-                        break 'recv;
-                    }
-                    committer.record_worker_panic();
-                    last_panic_context = Some(context);
-                    if let Ok(mut queue) = retry_queue.lock() {
-                        queue.push_back(k);
-                    }
-                    continue 'recv;
-                }
-            };
-            buffer.insert(k, result);
-            while let Some(result) = buffer.remove(&committer.next_k()) {
-                let hyper = match result {
-                    Ok(hyper) => hyper,
-                    // A worker observed the cancellation mid-generation:
-                    // treat it as the stop it is, not a failure.
-                    Err(MaxPowerError::Interrupted { reason, .. }) => {
-                        outcome = Some(committer.finish_interrupted(reason));
-                        break 'recv;
-                    }
-                    Err(e) => {
-                        outcome = Some(Err(e));
-                        break 'recv;
-                    }
-                };
-                if let Err(e) = committer.commit(hyper) {
-                    outcome = Some(Err(e));
-                    break 'recv;
-                }
-                match committer.decide() {
-                    Ok(Some(estimate)) => {
-                        outcome = Some(Ok(estimate));
-                        break 'recv;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        outcome = Some(Err(e));
-                        break 'recv;
-                    }
-                }
-            }
-        }
-        // Unblock and retire the workers: any sender blocked on the bounded
-        // channel errors out once the receiver drops.
-        stop.store(true, Ordering::Release);
-        drop(rx);
-        // Join every worker explicitly: a panic that escaped its
-        // `catch_unwind` (outside hyper-sample generation) surfaces as an
-        // error here instead of re-panicking out of the scope.
-        let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
-        if joined.iter().any(Result::is_err) {
-            return Err(MaxPowerError::Source {
-                message: "a parallel estimation worker panicked".to_string(),
-            });
-        }
-        outcome.expect("coordinator loop always sets an outcome")
-    })
-}
-
-/// The error for a coordinator whose workers all exited without reaching a
-/// stopping decision. When panics were seen, every worker retired through
-/// the panic path and the run had no healthy worker left to regenerate the
-/// requeued indices — report that instead of the generic source error.
-fn all_workers_exited(
-    panics_by_index: &HashMap<usize, usize>,
+/// Folds worker events into the run: a reorder buffer feeds the
+/// [`Committer`] strictly in index order, and after every commit the
+/// stopping rule and then the supervisor decide whether the run is over.
+struct Coordinator<'a, 's> {
+    committer: Committer<'a>,
+    supervisor: Supervisor,
+    shared: &'s Shared<'s>,
+    buffer: BTreeMap<usize, Result<HyperSample, MaxPowerError>>,
+    panics_by_index: HashMap<usize, usize>,
     last_panic_context: Option<String>,
-) -> MaxPowerError {
-    let panics: usize = panics_by_index.values().sum();
-    if panics > 0 {
-        MaxPowerError::Panicked {
-            context: last_panic_context
-                .unwrap_or_else(|| "all parallel workers retired after panics".to_string()),
-            panics,
+    /// The stall watchdog's heartbeat timeout (threaded runs only).
+    stall_timeout: Option<Duration>,
+    stall_flagged: Vec<bool>,
+}
+
+impl Coordinator<'_, '_> {
+    /// Absorbs one event; `Some` when the run is over. An event that
+    /// commits nothing (a tick, a panic, an out-of-order result) still
+    /// checks the supervisor, so a stop is seen while a slow index holds
+    /// the commits up.
+    fn absorb(&mut self, event: Event) -> Option<Outcome> {
+        self.watch_stalls();
+        match event {
+            Event::Done { k, result } => {
+                self.buffer.insert(k, result);
+                if self.buffer.contains_key(&self.committer.next_k()) {
+                    return self.commit_ready();
+                }
+            }
+            Event::Panicked { k, context } => {
+                let count = self.panics_by_index.entry(k).or_insert(0);
+                *count += 1;
+                if *count >= MAX_PANICS_PER_INDEX {
+                    // Deterministic panic: every retry hit it too.
+                    let panics = *count;
+                    return Some(Err(MaxPowerError::Panicked { context, panics }));
+                }
+                // The index is re-derived on a healthy worker, so only the
+                // health ledger records the restart.
+                self.committer.state.health.worker_restarts += 1;
+                self.last_panic_context = Some(context);
+                self.shared.retry_queue().push_back(k);
+            }
+            Event::Tick => {}
         }
-    } else {
-        MaxPowerError::Source {
-            message: "parallel workers exited without reaching a stopping decision".to_string(),
+        self.check_supervisor()
+    }
+
+    /// Commits the buffered run of consecutive indices, settling after
+    /// each one.
+    fn commit_ready(&mut self) -> Option<Outcome> {
+        while let Some(result) = self.buffer.remove(&self.committer.next_k()) {
+            let outcome = match result {
+                Ok(hyper) => match self.committer.commit(hyper) {
+                    Ok(()) => self.settle(),
+                    Err(e) => Some(Err(e)),
+                },
+                // A worker observed the cancellation mid-generation: the
+                // stop it is, not a failure. The abandoned hyper-sample is
+                // re-derived identically on resume.
+                Err(MaxPowerError::Interrupted { reason, .. }) => {
+                    Some(self.committer.finish_interrupted(reason))
+                }
+                Err(e) => Some(Err(e)),
+            };
+            if outcome.is_some() {
+                return outcome;
+            }
+        }
+        None
+    }
+
+    /// The stopping rule, then the supervisor: run before the first draw
+    /// and after every commit, so a stop leaves exactly the committed
+    /// prefix.
+    fn settle(&mut self) -> Option<Outcome> {
+        match self.committer.decide() {
+            Ok(None) => self.check_supervisor(),
+            decided => decided.transpose(),
+        }
+    }
+
+    fn check_supervisor(&mut self) -> Option<Outcome> {
+        if !self.supervisor.is_active() {
+            return None;
+        }
+        let reason = self.supervisor.check(self.committer.next_k())?;
+        Some(self.committer.finish_interrupted(reason))
+    }
+
+    /// The stall watchdog: flags, once per worker, a heartbeat older than
+    /// the configured timeout.
+    fn watch_stalls(&mut self) {
+        let Some(timeout) = self.stall_timeout else {
+            return;
+        };
+        let now_ms = self.shared.started.elapsed().as_millis() as u64;
+        let timeout_ms = timeout.as_millis() as u64;
+        for (w, hb) in self.shared.heartbeats.iter().enumerate() {
+            let hb_ms = hb.load(Ordering::Relaxed);
+            if !self.stall_flagged[w] && now_ms.saturating_sub(hb_ms) > timeout_ms {
+                // Flagged once per worker: a wedged worker is an incident,
+                // not a per-tick event.
+                self.stall_flagged[w] = true;
+                self.committer.state.health.worker_stalls += 1;
+                let telemetry = self.committer.telemetry;
+                telemetry.counter(names::WORKER_STALLS, 1);
+                telemetry.gauge(&names::worker_heartbeat(w), hb_ms as f64);
+            }
+        }
+    }
+
+    /// The error for a run whose workers all exited without reaching a
+    /// stopping decision. When panics were seen, every worker retired
+    /// through the panic path and none was left to regenerate the
+    /// requeued indices — report that instead of the generic source error.
+    fn all_workers_exited(&mut self) -> MaxPowerError {
+        let panics: usize = self.panics_by_index.values().sum();
+        if panics > 0 {
+            MaxPowerError::Panicked {
+                context: self
+                    .last_panic_context
+                    .take()
+                    .unwrap_or_else(|| "every worker retired after a panic".to_string()),
+                panics,
+            }
+        } else {
+            MaxPowerError::Source {
+                message: "workers exited without reaching a stopping decision".to_string(),
+            }
         }
     }
 }

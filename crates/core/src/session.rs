@@ -34,7 +34,7 @@ use mpe_telemetry::Telemetry;
 
 use crate::checkpoint::Checkpoint;
 use crate::config::EstimationConfig;
-use crate::engine::{run_parallel, run_sequential};
+use crate::engine::{self, Workers};
 use crate::error::MaxPowerError;
 use crate::estimator::MaxPowerEstimate;
 use crate::source::{PowerSource, PowerSourceFactory};
@@ -92,9 +92,9 @@ pub struct Session {
 #[derive(Default)]
 pub struct RunOptions<'a> {
     workers: Option<NonZeroUsize>,
-    seed: u64,
-    resume: Option<&'a Checkpoint>,
-    save: Option<&'a mut dyn FnMut(&Checkpoint)>,
+    pub(crate) seed: u64,
+    pub(crate) resume: Option<&'a Checkpoint>,
+    pub(crate) save: Option<&'a mut dyn FnMut(&Checkpoint)>,
     cancel: Option<CancelToken>,
     budget: RunBudget,
 }
@@ -179,7 +179,7 @@ impl<'a> RunOptions<'a> {
     }
 
     /// The supervision bundle handed to the engine.
-    fn supervision(&self) -> Supervision {
+    pub(crate) fn supervision(&self) -> Supervision {
         Supervision {
             cancel: self.cancel.clone(),
             budget: self.budget,
@@ -223,30 +223,15 @@ impl Session {
         opts: RunOptions<'_>,
     ) -> Result<MaxPowerEstimate, MaxPowerError> {
         let workers = opts.worker_count();
-        let supervision = opts.supervision();
         if workers == 1 {
             let mut source = factory.spawn_source(0)?;
-            run_sequential(
-                &self.config,
-                &self.telemetry,
-                &mut source,
-                opts.seed,
-                opts.resume,
-                opts.save,
-                &supervision,
-            )
-        } else {
-            run_parallel(
-                &self.config,
-                &self.telemetry,
-                factory,
-                workers,
-                opts.seed,
-                opts.resume,
-                opts.save,
-                &supervision,
-            )
+            return engine::run(self, opts, Workers::Inline(&mut source));
         }
+        let mut sources: Vec<Box<dyn PowerSource + Send + '_>> = Vec::with_capacity(workers);
+        for w in 0..workers {
+            sources.push(Box::new(factory.spawn_source(w)?));
+        }
+        engine::run(self, opts, Workers::Threads(sources))
     }
 
     /// Runs against a caller-owned source — the adapter for sources that
@@ -276,16 +261,7 @@ impl Session {
                 ),
             });
         }
-        let supervision = opts.supervision();
-        run_sequential(
-            &self.config,
-            &self.telemetry,
-            source,
-            opts.seed,
-            opts.resume,
-            opts.save,
-            &supervision,
-        )
+        engine::run(self, opts, Workers::Inline(source))
     }
 }
 

@@ -378,13 +378,6 @@ impl<'c> SimulatorSource<'c> {
         self.packed_pairs
     }
 
-    /// Lane-occupancy statistics of the cross-hyper-sample batch path —
-    /// `None` until the engine has announced upcoming hyper-samples via
-    /// [`PowerSource::plan_hyper_samples`].
-    pub fn lane_occupancy(&self) -> Option<LaneStats> {
-        self.batcher.as_ref().map(|b| b.stats)
-    }
-
     /// The lane width of the resolved kernel (`None` for scalar).
     fn lane_width(&self) -> Option<usize> {
         match self.packed {
@@ -604,8 +597,10 @@ impl PowerSource for SimulatorSource<'_> {
         batcher.plan(upcoming, expected_units);
     }
 
+    /// `None` until the engine has announced upcoming hyper-samples via
+    /// [`PowerSource::plan_hyper_samples`].
     fn lane_stats(&self) -> Option<LaneStats> {
-        self.lane_occupancy()
+        self.batcher.as_ref().map(|b| b.stats)
     }
 }
 

@@ -189,11 +189,6 @@ impl Supervisor {
             || self.budget.max_hyper_samples.is_some()
     }
 
-    /// The configured stall watchdog timeout, if any.
-    pub(crate) fn stall_timeout(&self) -> Option<Duration> {
-        self.budget.stall_timeout
-    }
-
     /// Evaluates the stop conditions given the currently committed
     /// hyper-sample count. Cancellation outranks the budgets (it is the
     /// explicit operator action).

@@ -87,7 +87,10 @@ fn cancelled_run_resumes_bit_identically() {
             "workers {n}: expected Interrupted(Cancelled), got {:?}",
             partial.status
         );
-        assert!(partial.hyper_samples >= trip_after);
+        // The supervisor is checked after every commit, so the stop lands
+        // right after the commit that tripped the token, at any worker
+        // count.
+        assert_eq!(partial.hyper_samples, trip_after, "workers {n}");
         assert!(
             partial.hyper_samples < full.hyper_samples,
             "workers {n}: cancellation must land before the natural stop"
@@ -118,9 +121,9 @@ fn cancelled_run_resumes_bit_identically() {
     }
 }
 
-/// The hyper-sample budget counts *this segment's* commits: a sequential
-/// run stops at exactly the budget, and the resumed remainder completes to
-/// the uninterrupted result.
+/// The hyper-sample budget counts *this segment's* commits: a run stops at
+/// exactly the budget for any worker count, and the resumed remainder
+/// completes to the uninterrupted result.
 #[test]
 fn hyper_sample_budget_stops_and_resumes_exactly() {
     let session = session();
@@ -141,7 +144,7 @@ fn hyper_sample_budget_stops_and_resumes_exactly() {
                 .save_with(&mut save),
         )
         .expect("budgeted run yields a partial estimate");
-    assert_eq!(partial.hyper_samples, 2, "sequential budget is exact");
+    assert_eq!(partial.hyper_samples, 2, "one-worker budget is exact");
     assert!(matches!(
         partial.status,
         RunStatus::Interrupted {
@@ -155,8 +158,8 @@ fn hyper_sample_budget_stops_and_resumes_exactly() {
         .expect("resumed run converges");
     assert_eq!(format!("{full:?}"), format!("{resumed:?}"));
 
-    // Parallel: the drain may commit a few buffered indices past the
-    // budget, but determinism of the committed prefix still holds.
+    // Parallel: buffered hyper-samples past the budget are never
+    // committed, so the stop is just as exact.
     let mut last: Option<Checkpoint> = None;
     let mut save = |cp: &Checkpoint| last = Some(cp.clone());
     let partial = session
@@ -169,15 +172,13 @@ fn hyper_sample_budget_stops_and_resumes_exactly() {
                 .save_with(&mut save),
         )
         .expect("budgeted parallel run yields a partial estimate");
-    assert!(partial.hyper_samples >= 2);
-    if partial.hyper_samples < full.hyper_samples {
-        assert!(matches!(
-            partial.status,
-            RunStatus::Interrupted {
-                reason: StopReason::HyperSampleBudget
-            }
-        ));
-    }
+    assert_eq!(partial.hyper_samples, 2, "parallel budget is exact");
+    assert!(matches!(
+        partial.status,
+        RunStatus::Interrupted {
+            reason: StopReason::HyperSampleBudget
+        }
+    ));
     let cp = last.expect("checkpoint saved");
     let resumed = session
         .run(&source, RunOptions::default().seeded(7).resume(&cp))
@@ -329,6 +330,33 @@ fn deterministic_panic_escalates_to_hard_error() {
             assert!(panics >= 2, "multiple requeue attempts recorded: {panics}");
         }
         other => unreachable!("expected escalation to Panicked, got {other:?}"),
+    }
+}
+
+/// A panic during generation is caught at one worker too: with no worker
+/// left to regenerate the index, the run ends with the typed error instead
+/// of unwinding out of the session.
+#[test]
+fn single_worker_panic_is_a_typed_error() {
+    let session = session();
+    let mut source = PanicAlways {
+        inner: weibull_source(),
+        target_k: 1,
+        current_k: u64::MAX,
+    };
+    let by_factory = session.run(&source, RunOptions::default().seeded(13));
+    let by_ref = session.run_source(&mut source, RunOptions::default().seeded(13));
+    for (path, result) in [("run", by_factory), ("run_source", by_ref)] {
+        match result {
+            Err(MaxPowerError::Panicked { context, panics }) => {
+                assert!(
+                    context.contains("hyper-sample 1"),
+                    "{path}: context names the poisoned index: {context}"
+                );
+                assert_eq!(panics, 1, "{path}: the only worker retired");
+            }
+            other => unreachable!("{path}: expected Panicked, got {other:?}"),
+        }
     }
 }
 
