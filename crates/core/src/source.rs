@@ -293,11 +293,12 @@ impl LaneBatcher {
 /// [`PackedSimulator`] in both lane widths (see [`KernelMode`]), which
 /// [`SimulatorSource::sample_batch`] uses to settle up to 64 or 128 pairs
 /// per word-level sweep — under *every* delay model, timing included. All
-/// kernels accumulate capacitance in the same order, so their readings are
-/// bit-identical; batching draws all the batch's vector pairs from the RNG
-/// *before* simulating (the simulator consumes no randomness), so the RNG
-/// stream is identical too. Kernel choice therefore never changes an
-/// estimate, only its cost.
+/// kernels produce the scalar kernel's capacitance sums bit for bit (an
+/// exact integer sum for whole-number capacitances, the scalar addition
+/// order otherwise), so their readings are bit-identical; batching draws
+/// all the batch's vector pairs from the RNG *before* simulating (the
+/// simulator consumes no randomness), so the RNG stream is identical too.
+/// Kernel choice therefore never changes an estimate, only its cost.
 #[derive(Debug, Clone)]
 pub struct SimulatorSource<'c> {
     simulator: PowerSimulator<'c>,
@@ -350,7 +351,11 @@ impl<'c> SimulatorSource<'c> {
     /// every delay model.
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.packed = Self::build_kernel(&self.simulator, kernel);
+        // The kernel in place is kept when it is the one asked for:
+        // building it again would only repeat `new`'s work.
+        if kernel.resolve(self.simulator.delay_model()) != self.kernel() {
+            self.packed = Self::build_kernel(&self.simulator, kernel);
+        }
         // Prefetched readings belong to the old kernel's lane geometry;
         // they are bit-identical anyway, but a scalar kernel must not
         // serve a speculative bank at all.

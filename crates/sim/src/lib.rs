@@ -45,6 +45,7 @@ pub mod activity;
 pub mod delay;
 pub mod engine;
 pub mod error;
+mod lane_sums;
 pub mod packed;
 mod packed_event;
 pub mod population;

@@ -9,20 +9,23 @@
 //! every delay model is supported:
 //!
 //! * **zero-delay**: one pass settles all "before" states, a second all
-//!   "after" states, and per-pair switched capacitance is accumulated
-//!   lane by lane in topological order;
+//!   "after" states, and each node's difference mask is counted into the
+//!   word's per-lane toggle and capacitance sums;
 //! * **unit / fanout delay**: the [per-lane event kernel](crate::packed_event)
 //!   replays the scalar time-wheel with a pending-lane mask per
 //!   `(time, node)`, so glitch-accurate simulation also settles a whole
 //!   word of assignments per wheel drain.
 //!
-//! **Bit-identity contract:** for every lane and every delay model, the
-//! `f64` additions happen in exactly the order the scalar
-//! [`PowerSimulator::cycle_report`] performs them, so `power_mw`,
-//! `switched_cap_ff`, `toggles`, `events` and `settle_time` are
-//! bit-identical to the scalar kernel's, not merely approximately equal.
-//! The estimation layers rely on this to make kernel choice pure
-//! provenance.
+//! **Bit-identity contract:** for every lane and every delay model,
+//! `power_mw`, `switched_cap_ff`, `toggles`, `events` and `settle_time`
+//! are bit-identical to the scalar [`PowerSimulator::cycle_report`]'s,
+//! not merely approximately equal. The capacitance sum is the one field
+//! whose f64 rounding could depend on order. [`PackedSimulator::new`]
+//! classifies the table once: whole-number caps within the exact bound
+//! are summed as integers a mask at a time, since there the scalar f64
+//! sum is exact too; any other table is added lane by lane in the scalar
+//! order (see `crates/sim/src/lane_sums.rs`). The estimation layers rely
+//! on this to make kernel choice pure provenance.
 
 use std::cell::RefCell;
 
@@ -31,7 +34,8 @@ use mpe_netlist::{Block, PackedEvaluator};
 use crate::delay::DelayModel;
 use crate::engine::{CycleReport, PowerSimulator};
 use crate::error::SimError;
-use crate::packed_event::{cycle_reports_event, EventScratch, MAX_LANES};
+use crate::lane_sums::{CapTable, ClassScratch, ClassSum, LaneSums, LaneWalk};
+use crate::packed_event::{cycle_reports_event, EventScratch};
 use crate::power::PowerConfig;
 
 /// Which simulation kernel the estimation path should use.
@@ -110,6 +114,13 @@ impl std::fmt::Display for KernelMode {
 struct PackedScratch<B> {
     words_before: Vec<B>,
     words_after: Vec<B>,
+    word: WordScratch<B>,
+    classes: ClassScratch,
+}
+
+/// Working memory of the delay-model kernels.
+#[derive(Debug, Clone, Default)]
+struct WordScratch<B> {
     vals_before: Vec<B>,
     vals_after: Vec<B>,
     event: EventScratch<B>,
@@ -125,7 +136,7 @@ struct PackedScratch<B> {
 #[derive(Debug, Clone)]
 pub struct PackedSimulator<B: Block = u64> {
     evaluator: PackedEvaluator,
-    caps: Vec<f64>,
+    caps: CapTable,
     config: PowerConfig,
     delay: DelayModel,
     delays: Vec<u64>,
@@ -138,14 +149,18 @@ impl<B: Block> PackedSimulator<B> {
     /// Builds the packed kernel from a scalar simulator, inheriting its
     /// delay model, capacitance table and power configuration.
     pub fn new(sim: &PowerSimulator<'_>) -> PackedSimulator<B> {
+        let budget = sim.event_budget();
+        // A lane toggles at most once per event plus once per input flip
+        // (zero delay: once per node), so `budget + n` bounds its toggles.
+        let max_toggles = budget.saturating_add(sim.circuit().num_nodes());
         PackedSimulator {
             evaluator: PackedEvaluator::new(sim.circuit()),
-            caps: sim.caps().to_vec(),
+            caps: CapTable::new(sim.caps(), max_toggles),
             config: sim.config(),
             delay: sim.delay_model(),
             delays: sim.delays().to_vec(),
             max_delay: sim.max_delay(),
-            budget: sim.event_budget(),
+            budget,
             scratch: RefCell::new(PackedScratch::default()),
         }
     }
@@ -181,9 +196,8 @@ impl<B: Block> PackedSimulator<B> {
         let PackedScratch {
             ref mut words_before,
             ref mut words_after,
-            ref mut vals_before,
-            ref mut vals_after,
-            ref mut event,
+            ref mut word,
+            ref mut classes,
         } = *scratch;
         words_before.resize(width, B::ZERO);
         words_after.resize(width, B::ZERO);
@@ -205,73 +219,91 @@ impl<B: Block> PackedSimulator<B> {
                 self.evaluator.pack_lane(words_before, lane, v1);
                 self.evaluator.pack_lane(words_after, lane, v2);
             }
-            match self.delay {
-                DelayModel::Zero => {
-                    self.zero_delay_chunk(
-                        words_before,
-                        words_after,
-                        vals_before,
-                        vals_after,
-                        chunk.len(),
-                        out,
-                    );
+            let lanes = chunk.len();
+            match &self.caps {
+                CapTable::Classes(table) => {
+                    let sums = ClassSum::<B>::new(table, classes);
+                    self.simulate_word(sums, words_before, words_after, word, lanes, out)?;
                 }
-                DelayModel::Unit | DelayModel::FanoutProportional { .. } => {
-                    cycle_reports_event(
-                        &self.evaluator,
-                        &self.caps,
-                        &self.delays,
-                        self.max_delay,
-                        self.budget,
-                        self.config,
-                        event,
-                        words_before,
-                        words_after,
-                        chunk.len(),
-                        out,
-                    )?;
+                CapTable::Walk(caps) => {
+                    let sums = LaneWalk::new(caps);
+                    self.simulate_word(sums, words_before, words_after, word, lanes, out)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// The zero-delay fast path: two topological sweeps settle the whole
-    /// word, then capacitance is peeled lane by lane.
-    #[allow(clippy::too_many_arguments)]
-    fn zero_delay_chunk(
+    /// Simulates one packed word under the delay model, summing its
+    /// toggles and capacitance through `sums`.
+    fn simulate_word<S: LaneSums<B>>(
         &self,
+        sums: S,
         words_before: &[B],
         words_after: &[B],
-        vals_before: &mut Vec<B>,
-        vals_after: &mut Vec<B>,
+        word: &mut WordScratch<B>,
+        lanes: usize,
+        out: &mut Vec<CycleReport>,
+    ) -> Result<(), SimError> {
+        match self.delay {
+            DelayModel::Zero => {
+                self.zero_delay_chunk(sums, words_before, words_after, word, lanes, out);
+                Ok(())
+            }
+            DelayModel::Unit | DelayModel::FanoutProportional { .. } => cycle_reports_event(
+                &self.evaluator,
+                sums,
+                &self.delays,
+                self.max_delay,
+                self.budget,
+                self.config,
+                &mut word.event,
+                words_before,
+                words_after,
+                lanes,
+                out,
+            ),
+        }
+    }
+
+    /// The zero-delay fast path: two topological sweeps settle the whole
+    /// word, then each node's difference mask goes to `sums`.
+    fn zero_delay_chunk<S: LaneSums<B>>(
+        &self,
+        mut sums: S,
+        words_before: &[B],
+        words_after: &[B],
+        word: &mut WordScratch<B>,
         lanes: usize,
         out: &mut Vec<CycleReport>,
     ) {
         let n = self.evaluator.num_nodes();
+        let WordScratch {
+            vals_before,
+            vals_after,
+            ..
+        } = word;
         self.evaluator.evaluate_packed(words_before, vals_before);
         self.evaluator.evaluate_packed(words_after, vals_after);
 
-        // Lane-wise accumulation in topological node order: for each lane
-        // the f64 additions happen in exactly the order the scalar
-        // zero-delay kernel performs them, so the sums are bit-identical.
+        // Each lane sees its changed nodes in topological order, the
+        // scalar zero-delay kernel's order: a lane walk repeats its f64
+        // additions exactly, and a whole-number table's class counts give
+        // the same exact integer sum (see `crate::lane_sums`).
         let active = B::low_mask(lanes);
-        let mut cap = [0.0f64; MAX_LANES];
-        let mut toggles = [0u64; MAX_LANES];
         for i in 0..n {
-            let mut diff = (vals_before[i] ^ vals_after[i]) & active;
-            while !diff.is_zero() {
-                let lane = diff.trailing_zeros() as usize;
-                diff = diff.clear_lowest();
-                cap[lane] += self.caps[i];
-                toggles[lane] += 1;
+            let diff = (vals_before[i] ^ vals_after[i]) & active;
+            if !diff.is_zero() {
+                sums.add(i, diff);
             }
         }
+        sums.flush();
         for lane in 0..lanes {
+            let (cap, toggles) = sums.lane(lane);
             out.push(CycleReport {
-                power_mw: self.config.power_mw(cap[lane]),
-                switched_cap_ff: cap[lane],
-                toggles: toggles[lane],
+                power_mw: self.config.power_mw(cap),
+                switched_cap_ff: cap,
+                toggles,
                 events: 0,
                 settle_time: 0,
             });
@@ -455,6 +487,50 @@ mod tests {
     #[test]
     fn packed128_event_budget_boundary_is_exact() {
         assert_budget_boundary::<u128>();
+    }
+
+    #[test]
+    fn default_model_sums_every_profile_by_class() {
+        // The bit-identity tests pass on either path, so only this pins
+        // the default model's tables to the class counter.
+        for circuit in Iscas85::all() {
+            let c = generate(circuit, 7).unwrap();
+            for delay in [
+                DelayModel::Zero,
+                DelayModel::Unit,
+                DelayModel::fanout_default(),
+            ] {
+                let sim = PowerSimulator::new(&c, delay, crate::PowerConfig::default());
+                let packed: PackedSimulator<u128> = PackedSimulator::new(&sim);
+                assert!(
+                    matches!(packed.caps, CapTable::Classes(_)),
+                    "{circuit} under {delay} walks the lanes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fractional_caps_walk_the_lanes() {
+        let c = generate(Iscas85::C432, 7).unwrap();
+        let model = mpe_netlist::CapacitanceModel {
+            per_fanout_cap: 2.7,
+            ..mpe_netlist::CapacitanceModel::default()
+        };
+        let sim = PowerSimulator::with_capacitance(
+            &c,
+            DelayModel::Unit,
+            crate::PowerConfig::default(),
+            &model,
+        );
+        let packed: PackedSimulator = PackedSimulator::new(&sim);
+        assert!(matches!(packed.caps, CapTable::Walk(_)));
+        let pairs = pairs_for(c.num_inputs(), 70, 5);
+        let mut reports = Vec::new();
+        packed
+            .cycle_reports_batch(&refs_of(&pairs), &mut reports)
+            .unwrap();
+        assert_bitwise_eq(&scalar_reports(&sim, &pairs), &reports);
     }
 
     #[test]

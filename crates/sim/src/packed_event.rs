@@ -12,21 +12,25 @@
 //! evaluated word-wide once, and the lane mask picks out which lanes the
 //! result applies to.
 //!
-//! **Per-lane bookkeeping a word at a time.** Of a lane's report fields
-//! only `switched_cap_ff` depends on the order of its updates: it is an
-//! `f64` sum, so each lane still adds `caps[node]` one lane at a time in
-//! the scalar (time, node) order. `events` and `toggles` are counts, so a
-//! [`LaneCounter`] adds a whole drained or changed mask at once, eight
-//! lanes per table lookup; and `settle_time` is the last step in which a
-//! lane changed, so the changes of a step are OR-ed into one mask and
-//! stamped with `now` once when the step ends.
+//! **Per-lane bookkeeping a word at a time.** `events` is a count, so a
+//! [`LaneCounter`] adds a whole drained mask at once, eight lanes per
+//! table lookup. `settle_time` is the last step in which a lane changed,
+//! so the changes of a step are OR-ed into one mask and stamped with
+//! `now` once when the step ends. Each changed mask goes to the word's
+//! [`LaneSums`], which counts the toggles and sums `switched_cap_ff`. Of
+//! the report fields only that `f64` sum could depend on the order of
+//! its updates. For a whole-number capacitance table within the exact
+//! bound it does not: every partial sum is an exact integer, so the
+//! changed masks are counted per capacitance class and multiplied out at
+//! word end. Any other table keeps the scalar (time, node) order by
+//! adding `caps[node]` one lane at a time (see [`crate::lane_sums`]).
 //!
 //! **Bit-identity contract:** for each lane, the sequence of (time, node)
-//! evaluations, the toggle decisions, and therefore the f64 capacitance
-//! additions are exactly those of [`PowerSimulator::cycle_report`] on that
-//! lane's vector pair — `power_mw`, `switched_cap_ff`, `toggles`,
-//! `events` *and* `settle_time` are all bit-identical, not approximately
-//! equal. Two facts carry the proof:
+//! evaluations and the toggle decisions are exactly those of
+//! [`PowerSimulator::cycle_report`] on that lane's vector pair, and the
+//! capacitance sum equals its f64 sum — `power_mw`, `switched_cap_ff`,
+//! `toggles`, `events` *and* `settle_time` are all bit-identical, not
+//! approximately equal. Two facts carry the proof:
 //!
 //! 1. all schedules of a node for time `t` originate while the wheel
 //!    drains slot `t − delay(node)`, so per-lane coalescing by mask OR
@@ -42,74 +46,8 @@ use mpe_netlist::{packed::eval_node, Block, GateKind, PackedEvaluator};
 
 use crate::engine::CycleReport;
 use crate::error::SimError;
+use crate::lane_sums::{LaneCounter, LaneSums, MAX_LANES};
 use crate::power::PowerConfig;
-
-/// Upper bound on [`Block::LANES`] across all supported widths (`u128`
-/// today); sizes the per-lane accumulator arrays.
-pub(crate) const MAX_LANES: usize = 128;
-
-/// `SPREAD[b]` holds bit `i` of `b` as byte `i`: eight one-byte 0/1
-/// counters, so adding `SPREAD[mask.byte(k)]` to a `u64` counts lanes
-/// `8k..8k + 8` of `mask` at once.
-const SPREAD: [u64; 256] = {
-    let mut table = [0u64; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut i = 0;
-        while i < 8 {
-            table[b] |= ((b as u64 >> i) & 1) << (8 * i);
-            i += 1;
-        }
-        b += 1;
-    }
-    table
-};
-
-/// Exact per-lane counts fed one lane mask at a time.
-///
-/// Byte `i` of `bytes[k]` counts lane `8k + i` since the last flush. A
-/// byte can take 255 adds before it would overflow, so every 255th add
-/// flushes the bytes into `totals`; read `totals` only after a
-/// [`LaneCounter::flush`].
-struct LaneCounter {
-    bytes: [u64; MAX_LANES / 8],
-    adds: u32,
-    totals: [u64; MAX_LANES],
-}
-
-impl LaneCounter {
-    fn new() -> LaneCounter {
-        LaneCounter {
-            bytes: [0; MAX_LANES / 8],
-            adds: 0,
-            totals: [0; MAX_LANES],
-        }
-    }
-
-    /// Adds one to every lane set in `mask`.
-    #[inline]
-    fn add<B: Block>(&mut self, mask: B) {
-        for (k, acc) in self.bytes[..B::LANES / 8].iter_mut().enumerate() {
-            *acc += SPREAD[mask.byte(k) as usize];
-        }
-        self.adds += 1;
-        if self.adds == u32::from(u8::MAX) {
-            self.flush::<B>();
-        }
-    }
-
-    /// Moves the byte counts into `totals`.
-    fn flush<B: Block>(&mut self) {
-        let lanes = self.totals[..B::LANES].chunks_exact_mut(8);
-        for (acc, totals) in self.bytes.iter_mut().zip(lanes) {
-            for (i, total) in totals.iter_mut().enumerate() {
-                *total += (*acc >> (8 * i)) & 0xff;
-            }
-            *acc = 0;
-        }
-        self.adds = 0;
-    }
-}
 
 /// Reusable working memory of the packed event kernel.
 ///
@@ -169,7 +107,8 @@ fn clear_pending<B: Block>(scratch: &mut EventScratch<B>, n: usize) {
 /// input vectors; `lanes` is the number of lanes actually packed (idle
 /// lanes of a partial final word are masked off and never produce
 /// events). `delays` is the per-node delay table (each ≥ 1), `max_delay`
-/// its maximum, and `budget` the per-lane event budget.
+/// its maximum, and `budget` the per-lane event budget. `sums` must be
+/// empty; it receives every toggle of the word.
 ///
 /// # Errors
 ///
@@ -177,9 +116,9 @@ fn clear_pending<B: Block>(scratch: &mut EventScratch<B>, n: usize) {
 /// `budget` distinct `(node, time)` evaluations — same defensive bound as
 /// the scalar kernel.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn cycle_reports_event<B: Block>(
+pub(crate) fn cycle_reports_event<B: Block, S: LaneSums<B>>(
     evaluator: &PackedEvaluator,
-    caps: &[f64],
+    mut sums: S,
     delays: &[u64],
     max_delay: u64,
     budget: usize,
@@ -204,8 +143,6 @@ pub(crate) fn cycle_reports_event<B: Block>(
     evaluator.evaluate_packed(words_before, &mut scratch.values);
 
     let active = B::low_mask(lanes);
-    let mut cap = [0.0f64; MAX_LANES];
-    let mut toggles = LaneCounter::new();
     let mut events = LaneCounter::new();
     let mut settle = [0u64; MAX_LANES];
     let mut pending = 0usize;
@@ -222,13 +159,7 @@ pub(crate) fn cycle_reports_event<B: Block>(
             continue;
         }
         scratch.values[i] ^= diff;
-        toggles.add(diff);
-        let mut d = diff;
-        while !d.is_zero() {
-            let lane = d.trailing_zeros() as usize;
-            d = d.clear_lowest();
-            cap[lane] += caps[i];
-        }
+        sums.add(i, diff);
         for &f in evaluator.fanout_of(i) {
             let time = delays[f as usize];
             schedule(scratch, n, wheel_len, f, time, diff, &mut pending);
@@ -243,8 +174,8 @@ pub(crate) fn cycle_reports_event<B: Block>(
             continue;
         }
         // Ascending node order within a time step — observable per lane
-        // through glitch counts and the f64 addition sequence, exactly as
-        // in the scalar wheel.
+        // through glitch counts (and, for the lane walk, the f64 addition
+        // sequence), exactly as in the scalar wheel.
         scratch.slot_nodes[slot].sort_unstable();
         // Lanes with a toggle at `now`; their settle time is `now`.
         let mut step_changed = B::ZERO;
@@ -278,14 +209,8 @@ pub(crate) fn cycle_reports_event<B: Block>(
                 continue;
             }
             scratch.values[node] ^= changed;
-            toggles.add(changed);
+            sums.add(node, changed);
             step_changed |= changed;
-            let mut c = changed;
-            while !c.is_zero() {
-                let lane = c.trailing_zeros() as usize;
-                c = c.clear_lowest();
-                cap[lane] += caps[node];
-            }
             for &f in evaluator.fanout_of(node) {
                 let time = now + delays[f as usize];
                 schedule(scratch, n, wheel_len, f, time, changed, &mut pending);
@@ -300,50 +225,17 @@ pub(crate) fn cycle_reports_event<B: Block>(
     }
 
     events.flush::<B>();
-    toggles.flush::<B>();
-    for lane in 0..lanes {
+    sums.flush();
+    let lane_fields = events.totals.iter().zip(&settle).take(lanes);
+    for (lane, (&events, &settle_time)) in lane_fields.enumerate() {
+        let (cap, toggles) = sums.lane(lane);
         out.push(CycleReport {
-            power_mw: config.power_mw(cap[lane]),
-            switched_cap_ff: cap[lane],
-            toggles: toggles.totals[lane],
-            events: events.totals[lane],
-            settle_time: settle[lane],
+            power_mw: config.power_mw(cap),
+            switched_cap_ff: cap,
+            toggles,
+            events,
+            settle_time,
         });
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spread_places_bit_i_in_byte_i() {
-        for (b, spread) in SPREAD.iter().enumerate() {
-            for i in 0..8 {
-                assert_eq!((spread >> (8 * i)) & 0xff, (b as u64 >> i) & 1);
-            }
-        }
-    }
-
-    fn counts_past_byte_overflow<B: Block>() {
-        // Lane 0 in every add, lane LANES-1 in every other: both pass 255
-        // several times, so a missed flush would wrap a byte.
-        let every = B::lane_mask(0);
-        let alternate = B::lane_mask(B::LANES - 1);
-        let mut counter = LaneCounter::new();
-        for i in 0..1000 {
-            counter.add(if i % 2 == 0 { every | alternate } else { every });
-        }
-        counter.flush::<B>();
-        assert_eq!(counter.totals[0], 1000);
-        assert_eq!(counter.totals[B::LANES - 1], 500);
-        assert_eq!(counter.totals[..B::LANES].iter().sum::<u64>(), 1500);
-    }
-
-    #[test]
-    fn lane_counter_is_exact_past_byte_overflow() {
-        counts_past_byte_overflow::<u64>();
-        counts_past_byte_overflow::<u128>();
-    }
 }

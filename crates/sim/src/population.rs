@@ -10,9 +10,12 @@
 //! Per worker the population is settled through the bit-parallel
 //! [`PackedSimulator`] by default ([`KernelMode::Auto`]): the worker's chunk
 //! is cut into `Block::LANES`-wide words and each word is simulated in one
-//! sweep, bit-identical to the scalar per-pair loop (the packed kernel
-//! accumulates capacitance in exactly the scalar order — see
-//! `crates/sim/src/packed.rs`). [`KernelMode::Scalar`] restores the
+//! sweep, bit-identical to the scalar per-pair loop. Under a whole-number
+//! capacitance table (the default [`CapacitanceModel`]'s) every partial
+//! sum of the scalar kernel is an exact integer, so the packed kernel
+//! counts toggles per capacitance class and multiplies out once per word;
+//! any other table is added lane by lane in the scalar order (see
+//! `crates/sim/src/lane_sums.rs`). [`KernelMode::Scalar`] restores the
 //! original loop for A/B timing.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,7 +1,8 @@
 //! Property-based tests for the simulation engine.
 
 use mpe_netlist::generator::random_dag;
-use mpe_sim::{DelayModel, PackedSimulator, PowerConfig, PowerSimulator};
+use mpe_netlist::CapacitanceModel;
+use mpe_sim::{CycleReport, DelayModel, PackedSimulator, PowerConfig, PowerSimulator};
 use rand::rngs::SmallRng;
 use rand::{check, Rng, SeedableRng};
 
@@ -96,46 +97,130 @@ fn packed_kernels_match_scalar_in_both_widths() {
         };
         let c = random_dag("p", 9, 3, 50, 9, seed).unwrap();
         let sim = PowerSimulator::new(&c, model, PowerConfig::default());
-        let packed64: PackedSimulator<u64> = PackedSimulator::new(&sim);
-        let packed128: PackedSimulator<u128> = PackedSimulator::new(&sim);
         let mut rng = SmallRng::seed_from_u64(vec_seed);
         let pairs: Vec<(Vec<bool>, Vec<bool>)> = (0..batch)
             .map(|_| (random_vector(&mut rng, 9), random_vector(&mut rng, 9)))
             .collect();
-        let refs: Vec<(&[bool], &[bool])> = pairs
-            .iter()
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
-            .collect();
-        let mut reports64 = Vec::new();
-        packed64.cycle_reports_batch(&refs, &mut reports64).unwrap();
-        let mut reports128 = Vec::new();
-        packed128
-            .cycle_reports_batch(&refs, &mut reports128)
-            .unwrap();
-        assert_eq!(reports64.len(), batch);
-        assert_eq!(reports128.len(), batch);
-        for (i, (v1, v2)) in pairs.iter().enumerate() {
-            let want = sim.cycle_report(v1, v2).unwrap();
-            for got in [&reports64[i], &reports128[i]] {
-                // Full report equality: toggles, events and settle_time
-                // must match the scalar event kernel exactly.
-                assert_eq!(got, &want, "pair {} under {}", i, model);
-                assert_eq!(
-                    got.switched_cap_ff.to_bits(),
-                    want.switched_cap_ff.to_bits(),
-                    "cap {} vs {}",
-                    got.switched_cap_ff,
-                    want.switched_cap_ff
-                );
-                assert_eq!(
-                    got.power_mw.to_bits(),
-                    want.power_mw.to_bits(),
-                    "power {} vs {}",
-                    got.power_mw,
-                    want.power_mw
-                );
-            }
+        assert_packed_match_scalar(&sim, &pairs, &model.to_string());
+    });
+}
+
+/// Simulates `pairs` through both packed widths and checks every report
+/// against the scalar kernel's, bit for bit.
+fn assert_packed_match_scalar(
+    sim: &PowerSimulator<'_>,
+    pairs: &[(Vec<bool>, Vec<bool>)],
+    case: &str,
+) {
+    let packed64: PackedSimulator<u64> = PackedSimulator::new(sim);
+    let packed128: PackedSimulator<u128> = PackedSimulator::new(sim);
+    let refs: Vec<(&[bool], &[bool])> = pairs
+        .iter()
+        .map(|(a, b)| (a.as_slice(), b.as_slice()))
+        .collect();
+    let mut reports64 = Vec::new();
+    packed64.cycle_reports_batch(&refs, &mut reports64).unwrap();
+    let mut reports128: Vec<CycleReport> = Vec::new();
+    packed128
+        .cycle_reports_batch(&refs, &mut reports128)
+        .unwrap();
+    assert_eq!(reports64.len(), pairs.len());
+    assert_eq!(reports128.len(), pairs.len());
+    for (i, (v1, v2)) in pairs.iter().enumerate() {
+        let want = sim.cycle_report(v1, v2).unwrap();
+        for got in [&reports64[i], &reports128[i]] {
+            // Full report equality: toggles, events and settle_time
+            // must match the scalar event kernel exactly.
+            assert_eq!(got, &want, "pair {i} under {case}");
+            assert_eq!(
+                got.switched_cap_ff.to_bits(),
+                want.switched_cap_ff.to_bits(),
+                "cap {} vs {} under {case}",
+                got.switched_cap_ff,
+                want.switched_cap_ff
+            );
+            assert_eq!(
+                got.power_mw.to_bits(),
+                want.power_mw.to_bits(),
+                "power {} vs {} under {case}",
+                got.power_mw,
+                want.power_mw
+            );
         }
+    }
+}
+
+/// A random capacitance model of one of the three kinds the packed
+/// kernels tell apart, with its name:
+///
+/// * whole numbers of fF, summed exactly per capacitance class;
+/// * fractional fF, added lane by lane in the scalar order;
+/// * whole numbers near 2⁵¹ fF, so that a few toggles already sum past
+///   2⁵³ and the scalar f64 sum rounds in an order-dependent way: only
+///   the lane walk reproduces it, and the exact bound must pick it.
+fn random_cap_model(rng: &mut SmallRng) -> (CapacitanceModel, &'static str) {
+    match rng.gen_range(0..3) {
+        0 => {
+            let mut whole = || f64::from(rng.gen_range(0u32..200));
+            let model = CapacitanceModel {
+                unit_gate_cap: whole(),
+                per_fanin_cap: whole(),
+                per_fanout_cap: whole(),
+                output_pin_cap: whole(),
+            };
+            (model, "whole")
+        }
+        1 => {
+            let mut fraction = || [0.1, 0.3, 2.7, 5.0][rng.gen_range(0..4)];
+            let model = CapacitanceModel {
+                unit_gate_cap: fraction(),
+                per_fanin_cap: fraction(),
+                per_fanout_cap: fraction(),
+                output_pin_cap: fraction(),
+            };
+            (model, "fractional")
+        }
+        _ => {
+            let big = (1u64 << 51) as f64;
+            let model = CapacitanceModel {
+                unit_gate_cap: big + f64::from(2 * rng.gen_range(0u32..1000) + 1),
+                per_fanin_cap: f64::from(2 * rng.gen_range(0u32..1000) + 1),
+                per_fanout_cap: f64::from(rng.gen_range(0u32..1000)),
+                output_pin_cap: f64::from(rng.gen_range(0u32..1000)),
+            };
+            (model, "past 2^53")
+        }
+    }
+}
+
+/// The packed kernels stay bit-identical to the scalar kernel under a
+/// caller's capacitance model, on either summation path: the class
+/// counter for whole-number tables within the exact bound, the lane walk
+/// for fractional tables and for whole-number tables whose sums can pass
+/// 2⁵³. Random DAGs, every delay model, and batches with partial words.
+#[test]
+fn packed_kernels_match_scalar_under_custom_capacitance() {
+    check(48, |rng| {
+        let seed = rng.gen_range(0u64..120);
+        let vec_seed = rng.gen_range(0u64..500);
+        let batch = rng.gen_range(1usize..150);
+        let model = match rng.gen_range(0usize..4) {
+            0 => DelayModel::Zero,
+            1 => DelayModel::Unit,
+            2 => DelayModel::fanout_default(),
+            _ => DelayModel::FanoutProportional {
+                base: rng.gen_range(1u32..4),
+                per_fanout: rng.gen_range(0u32..3),
+            },
+        };
+        let (cap_model, cap_kind) = random_cap_model(rng);
+        let c = random_dag("cap", 9, 3, 50, 9, seed).unwrap();
+        let sim = PowerSimulator::with_capacitance(&c, model, PowerConfig::default(), &cap_model);
+        let mut rng = SmallRng::seed_from_u64(vec_seed);
+        let pairs: Vec<(Vec<bool>, Vec<bool>)> = (0..batch)
+            .map(|_| (random_vector(&mut rng, 9), random_vector(&mut rng, 9)))
+            .collect();
+        assert_packed_match_scalar(&sim, &pairs, &format!("{model}, {cap_kind} caps"));
     });
 }
 
