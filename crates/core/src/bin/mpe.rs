@@ -445,7 +445,7 @@ impl TelemetryPipes {
     }
 }
 
-/// First `SIGINT`/`SIGTERM` trips the run's [`CancelToken`] — the engine
+/// First `SIGINT`/`SIGTERM` trips the run's [`CancelToken`](maxpower::CancelToken) — the engine
 /// commits the in-flight prefix, writes a final checkpoint and reports
 /// `status: INTERRUPTED`. A second signal aborts immediately with the
 /// conventional `128 + SIGINT` exit code.
@@ -531,7 +531,7 @@ fn parse_seconds(s: &str, flag: &str) -> Result<Duration, String> {
         .map_err(|_| format!("{flag} expects a non-negative number of seconds, got `{s}`"))
 }
 
-/// `estimate` and `delay`: one supervised [`execute`] under the signal
+/// `estimate` and `delay`: one supervised [`execute()`] under the signal
 /// handler, with crash-safe checkpoint/resume when `--checkpoint` is set.
 fn run_estimate(flags: &mut Flags) -> Result<(), Box<dyn std::error::Error>> {
     let circuit = flags.load_circuit()?;

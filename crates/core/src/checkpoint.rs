@@ -31,7 +31,7 @@
 //! write-to-temp → fsync → rotate-previous-to-`.bak` → rename, so the
 //! checkpoint path always holds either the previous complete checkpoint
 //! or the new complete checkpoint, never a torn mix. Every checkpoint
-//! carries a content checksum (sealed at save time); [`from_json`]
+//! carries a content checksum (sealed at save time);
 //! [`Checkpoint::from_json`] rejects records whose payload no longer
 //! matches it, and [`load_with_recovery`] falls back to the `.bak`
 //! rotation when the primary is missing, torn or corrupt.
@@ -138,7 +138,7 @@ pub struct Checkpoint {
     /// run segments so far; absent when the run had telemetry disabled.
     pub telemetry: Option<TelemetrySummary>,
     /// Content checksum over every other field (FNV-1a of the canonical
-    /// rendering, computed by [`Checkpoint::payload_checksum`]). Sealed at
+    /// rendering). Sealed at
     /// save time; `None` marks a hand-built or legacy record, which is
     /// accepted unchecked.
     pub checksum: Option<u64>,
@@ -173,7 +173,7 @@ impl Checkpoint {
     /// The content checksum over every field except `checksum` itself:
     /// FNV-1a of a canonical textual rendering, so it is independent of
     /// the serialization format (and of JSON field order / whitespace).
-    pub fn payload_checksum(&self) -> u64 {
+    fn payload_checksum(&self) -> u64 {
         let mut canonical = format!(
             "{}|{}|{}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}",
             self.version,
@@ -208,7 +208,7 @@ impl Checkpoint {
     ///
     /// [`MaxPowerError::CheckpointMismatch`] when the payload does not
     /// match the sealed checksum.
-    pub fn check_integrity(&self) -> Result<(), MaxPowerError> {
+    fn check_integrity(&self) -> Result<(), MaxPowerError> {
         match self.checksum {
             Some(stored) if stored != self.payload_checksum() => {
                 Err(MaxPowerError::CheckpointMismatch {

@@ -146,26 +146,6 @@ pub struct FaultStats {
     pub clean: usize,
 }
 
-impl FaultStats {
-    /// Faults injected in total (everything except clean passthroughs).
-    pub fn total_injected(&self) -> usize {
-        self.errors + self.stalls + self.nans + self.infs + self.negatives + self.corruptions
-    }
-
-    /// Injected faults that surfaced as `Err` from `sample` (and thus
-    /// consumed no unit of the estimation budget).
-    pub fn erroring(&self) -> usize {
-        self.errors + self.stalls
-    }
-
-    /// Injected faults that surfaced as an invalid `Ok` reading (NaN, ∞,
-    /// negative) — these *do* consume a unit before any policy discards
-    /// them.
-    pub fn invalid_readings(&self) -> usize {
-        self.nans + self.infs + self.negatives
-    }
-}
-
 /// Decorator that injects faults into an inner [`PowerSource`].
 ///
 /// The injector draws from its own [`SmallRng`] (seeded by
@@ -359,8 +339,13 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(s.sample(&mut rng).unwrap(), 5.0);
         }
-        assert_eq!(s.stats().clean, 100);
-        assert_eq!(s.stats().total_injected(), 0);
+        assert_eq!(
+            *s.stats(),
+            FaultStats {
+                clean: 100,
+                ..FaultStats::default()
+            }
+        );
     }
 
     #[test]
@@ -400,11 +385,8 @@ mod tests {
         assert_eq!(negs, st.negatives);
         assert_eq!(corrupt, st.corruptions);
         assert_eq!(clean, st.clean);
-        assert_eq!(st.total_injected() + st.clean, calls);
         // With a 35 % total fault rate over 2000 calls, faults certainly fired.
-        assert!(st.total_injected() > 0, "fault mix never fired");
-        assert_eq!(st.erroring(), st.errors + st.stalls);
-        assert_eq!(st.invalid_readings(), st.nans + st.infs + st.negatives);
+        assert!(clean < calls, "fault mix never fired");
     }
 
     #[test]
@@ -452,7 +434,7 @@ mod tests {
             let _ = s.sample(&mut rng);
         }
         let st = *s.stats();
-        assert!(st.total_injected() > 0);
+        assert!(st.clean < 2000);
         let snap = telemetry.snapshot();
         use mpe_telemetry::names;
         assert_eq!(snap.counter(names::FAULT_ERRORS), st.errors as u64);

@@ -401,7 +401,7 @@ impl RunHealth {
 
     /// The weakest (deepest-ladder) estimator that contributed, if any
     /// fallback was taken.
-    pub fn deepest_fallback(&self) -> Option<EstimatorKind> {
+    fn deepest_fallback(&self) -> Option<EstimatorKind> {
         if self.quantile_fallbacks > 0 {
             Some(EstimatorKind::Quantile)
         } else if self.pot_fallbacks > 0 {

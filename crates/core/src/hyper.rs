@@ -14,7 +14,7 @@
 //! Around that idealized loop this module adds the resilience layer:
 //!
 //! * every draw goes through the configured
-//!   [`SamplePolicy`](crate::SamplePolicy), which decides what a source
+//!   [`SamplePolicy`], which decides what a source
 //!   error or an invalid reading (NaN, ±∞, below
 //!   [`min_reading_mw`](crate::EstimationConfig::min_reading_mw)) does —
 //!   fail fast, skip, or retry;
@@ -226,7 +226,7 @@ impl<'a> HyperSampleContext<'a> {
     /// Attaches a cancellation token: generation checks it between the
     /// `m` samples of the hyper-sample and, when tripped, abandons the
     /// hyper-sample with
-    /// [`MaxPowerError::Interrupted`](crate::MaxPowerError::Interrupted)
+    /// [`MaxPowerError::Interrupted`]
     /// (which the engine turns into a graceful partial result). An
     /// abandoned hyper-sample is re-derived bit-identically on resume, so
     /// cancellation never perturbs determinism.

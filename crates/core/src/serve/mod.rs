@@ -9,7 +9,7 @@
 //!
 //! * [`jobs::JobEngine`] — a bounded FIFO job queue (backpressure via
 //!   HTTP 429) in front of a fixed runner pool; every job gets its own
-//!   [`CancelToken`](crate::CancelToken) and bounded event ring.
+//!   [`CancelToken`] and bounded event ring.
 //! * [`cache::CircuitCache`] — parse + topo-sort + CSR packing once per
 //!   distinct circuit, shared by every job that names it.
 //! * [`Server`] — a small `std::net` HTTP front end (the workspace adds

@@ -306,7 +306,6 @@ pub struct SimulatorSource<'c> {
     width: usize,
     simulated: u64,
     packed: PackedKernel,
-    packed_pairs: u64,
     pair_buf: Vec<VectorPair>,
     report_buf: Vec<CycleReport>,
     batcher: Option<LaneBatcher>,
@@ -331,7 +330,6 @@ impl<'c> SimulatorSource<'c> {
             generator,
             simulated: 0,
             packed,
-            packed_pairs: 0,
             pair_buf: Vec::new(),
             report_buf: Vec::new(),
             batcher: None,
@@ -376,11 +374,6 @@ impl<'c> SimulatorSource<'c> {
     /// Vector pairs simulated so far (the paper's cost metric).
     pub fn simulated(&self) -> u64 {
         self.simulated
-    }
-
-    /// Vector pairs that went through the bit-parallel kernel.
-    pub fn packed_pairs(&self) -> u64 {
-        self.packed_pairs
     }
 
     /// The lane width of the resolved kernel (`None` for scalar).
@@ -483,7 +476,6 @@ impl<'c> SimulatorSource<'c> {
 
         let total = self.pair_buf.len();
         self.simulated += total as u64;
-        self.packed_pairs += total as u64;
         let words = total.div_ceil(lanes) as u64;
         batcher.stats.words_swept += words;
         batcher.stats.slots_filled += total as u64;
@@ -563,7 +555,6 @@ impl PowerSource for SimulatorSource<'_> {
                 .map_err(MaxPowerError::from)?,
         }
         self.simulated += count as u64;
-        self.packed_pairs += count as u64;
         out.extend(self.report_buf.iter().map(|r| r.power_mw));
         Ok(())
     }

@@ -1,162 +1,15 @@
-//! Domain-of-attraction classification and normalizing constants
+//! The domain of attraction of a sample's maximum, read from its tail
 //! (the paper's Theorems 1 and 2).
 
 use crate::error::EvtError;
-
-/// The three possible limiting laws of normalized sample maxima
-/// (Fisher–Tippett–Gnedenko).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LimitingLaw {
-    /// `G_{1,α}` — heavy-tailed, unbounded parents (paper Eqn 2.4/2.9).
-    Frechet,
-    /// `G_{2,α}` — parents with a finite right endpoint (Eqn 2.5/2.10).
-    /// This is the law the paper assumes for cycle power.
-    Weibull,
-    /// `G₃` — light-tailed unbounded parents (Eqn 2.6/2.11).
-    Gumbel,
-}
-
-impl std::fmt::Display for LimitingLaw {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LimitingLaw::Frechet => write!(f, "Fréchet"),
-            LimitingLaw::Weibull => write!(f, "Weibull"),
-            LimitingLaw::Gumbel => write!(f, "Gumbel"),
-        }
-    }
-}
-
-/// The normalizing constants `a_n > 0`, `b_n` of Definition 1:
-/// `Fⁿ(b_n + x·a_n) → G(x)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NormalizingConstants {
-    /// Scale constant `a_n`.
-    pub a_n: f64,
-    /// Location constant `b_n`.
-    pub b_n: f64,
-}
-
-/// Computes the canonical normalizing constants of the paper's Theorem 1
-/// for block size `n`, given the parent's quantile function `quantile(q)`
-/// and (for the Weibull case) its right endpoint `ω(F)`.
-///
-/// * Fréchet (Eqn 2.12): `b_n = 0`, `a_n = F⁻¹(1 − 1/n)`;
-/// * Weibull (Eqn 2.13): `b_n = ω(F)`, `a_n = ω(F) − F⁻¹(1 − 1/n)`;
-/// * Gumbel (Eqn 2.14): `b_n = F⁻¹(1 − 1/n)`,
-///   `a_n = F⁻¹(1 − 1/(n·e)) − b_n` (the standard choice `g(b_n)` realized
-///   through the quantile function of the exponential tail).
-///
-/// # Errors
-///
-/// Returns [`EvtError::InvalidParameter`] if `n < 2`, if the Weibull case is
-/// requested without a finite `right_endpoint`, or if the produced `a_n` is
-/// not strictly positive (a sign the parent does not belong to the requested
-/// domain).
-///
-/// # Example
-///
-/// ```
-/// use mpe_evt::{normalizing_constants, LimitingLaw};
-///
-/// # fn main() -> Result<(), mpe_evt::EvtError> {
-/// // Uniform(0,1): ω(F) = 1, F⁻¹(q) = q. Weibull domain with α = 1.
-/// let c = normalizing_constants(LimitingLaw::Weibull, 100, |q| q, Some(1.0))?;
-/// assert_eq!(c.b_n, 1.0);
-/// assert!((c.a_n - 0.01).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn normalizing_constants<Q: Fn(f64) -> f64>(
-    law: LimitingLaw,
-    n: usize,
-    quantile: Q,
-    right_endpoint: Option<f64>,
-) -> Result<NormalizingConstants, EvtError> {
-    if n < 2 {
-        return Err(EvtError::invalid("n", "n >= 2", n as f64));
-    }
-    let q_high = 1.0 - 1.0 / n as f64;
-    let constants = match law {
-        LimitingLaw::Frechet => NormalizingConstants {
-            a_n: quantile(q_high),
-            b_n: 0.0,
-        },
-        LimitingLaw::Weibull => {
-            let omega = right_endpoint.ok_or_else(|| {
-                EvtError::invalid("right_endpoint", "finite ω(F) required", f64::NAN)
-            })?;
-            if !omega.is_finite() {
-                return Err(EvtError::invalid("right_endpoint", "finite", omega));
-            }
-            NormalizingConstants {
-                a_n: omega - quantile(q_high),
-                b_n: omega,
-            }
-        }
-        LimitingLaw::Gumbel => {
-            let b_n = quantile(q_high);
-            let a_n = quantile(1.0 - 1.0 / (n as f64 * std::f64::consts::E)) - b_n;
-            NormalizingConstants { a_n, b_n }
-        }
-    };
-    if !(constants.a_n > 0.0 && constants.a_n.is_finite()) {
-        return Err(EvtError::invalid(
-            "a_n",
-            "a_n > 0 (is the parent in this domain?)",
-            constants.a_n,
-        ));
-    }
-    Ok(constants)
-}
-
-/// Heuristically classifies which domain of attraction a *bounded-support
-/// assumption* puts a sample in, exactly mirroring the paper's §3.1
-/// argument:
-///
-/// * a known-finite right endpoint (power, delay, any physical quantity
-///   with a hard bound) → [`LimitingLaw::Weibull`];
-/// * otherwise the sample tail decides: a tail index estimate
-///   `ξ̂ > threshold` suggests Fréchet, `ξ̂ < −threshold` Weibull, and the
-///   band in between Gumbel.
-///
-/// The tail index is estimated with the moment (Dekkers–Einmahl–de Haan)
-/// estimator over the top `k = √len` order statistics — crude but
-/// dependable at the sample sizes the estimator uses.
-///
-/// # Errors
-///
-/// Returns [`EvtError::InsufficientData`] for samples smaller than 16.
-pub fn classify_domain(data: &[f64], bounded_above: bool) -> Result<LimitingLaw, EvtError> {
-    if bounded_above {
-        return Ok(LimitingLaw::Weibull);
-    }
-    if data.len() < 16 {
-        return Err(EvtError::InsufficientData {
-            needed: 16,
-            got: data.len(),
-        });
-    }
-    let xi = moment_tail_index(data)?;
-    // The moment estimator has O(k^{-1/2}) noise plus second-order bias;
-    // ±0.2 keeps genuine Gumbel samples (ξ = 0) out of the heavy/bounded
-    // buckets at the sample sizes this crate deals with.
-    const THRESHOLD: f64 = 0.2;
-    Ok(if xi > THRESHOLD {
-        LimitingLaw::Frechet
-    } else if xi < -THRESHOLD {
-        LimitingLaw::Weibull
-    } else {
-        LimitingLaw::Gumbel
-    })
-}
 
 /// The moment estimator of the extreme-value index `ξ`
 /// (Dekkers, Einmahl, de Haan 1989), using the top `n^{2/3}` order
 /// statistics.
 ///
 /// Positive estimates indicate heavy (Fréchet) tails, near-zero Gumbel,
-/// negative a finite endpoint (Weibull). Exposed publicly because the
-/// limiting-law ablation bench reports it per circuit.
+/// negative a finite endpoint (Weibull). The limiting-law ablation bench
+/// reports it per circuit.
 ///
 /// # Errors
 ///
@@ -194,181 +47,37 @@ pub fn moment_tail_index(data: &[f64]) -> Result<f64, EvtError> {
     Ok(m1 + 1.0 - 0.5 / (1.0 - m1 * m1 / m2))
 }
 
-/// The Hill estimator of the tail index `α` for *heavy-tailed* (Fréchet
-/// domain) data, over the top `k` order statistics:
-///
-/// `α̂ = k / Σ_{i=1..k} ln(X_{(n−i+1)} / X_{(n−k)})`
-///
-/// Returns the reciprocal `ξ̂ = 1/α̂` convention of [`moment_tail_index`]
-/// so the two estimators compare directly. The Hill estimator is only
-/// consistent for `ξ > 0`; on bounded data it reports small positive noise
-/// — use [`moment_tail_index`] when the domain is unknown.
-///
-/// # Errors
-///
-/// Returns [`EvtError::InsufficientData`] for samples smaller than 16, and
-/// [`EvtError::InvalidParameter`] if the top `k+1` order statistics are not
-/// strictly positive (shift the data first).
-pub fn hill_tail_index(data: &[f64], k: usize) -> Result<f64, EvtError> {
-    if data.len() < 16 {
-        return Err(EvtError::InsufficientData {
-            needed: 16,
-            got: data.len(),
-        });
-    }
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in Hill input"));
-    let n = sorted.len();
-    let k = k.clamp(2, n - 1);
-    let base = sorted[n - 1 - k];
-    if base <= 0.0 {
-        return Err(EvtError::invalid(
-            "data",
-            "top k+1 order statistics must be positive",
-            base,
-        ));
-    }
-    let sum: f64 = sorted[n - k..].iter().map(|&x| (x / base).ln()).sum();
-    Ok(sum / k as f64) // ξ̂ = 1/α̂ = mean log-excess
-}
-
-/// The Pickands estimator of the extreme-value index `ξ`, valid in *all
-/// three* domains (like the moment estimator, unlike Hill):
-///
-/// `ξ̂ = ln((X_{(n−k)} − X_{(n−2k)}) / (X_{(n−2k)} − X_{(n−4k)})) / ln 2`
-///
-/// Simple and domain-agnostic but with higher variance than the moment
-/// estimator; exposed for cross-checking in diagnostics.
-///
-/// # Errors
-///
-/// Returns [`EvtError::InsufficientData`] for samples smaller than 16 or if
-/// `4k` exceeds the sample, and [`EvtError::InvalidParameter`] when the
-/// spacings are degenerate (ties).
-pub fn pickands_tail_index(data: &[f64], k: usize) -> Result<f64, EvtError> {
-    if data.len() < 16 {
-        return Err(EvtError::InsufficientData {
-            needed: 16,
-            got: data.len(),
-        });
-    }
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in Pickands input"));
-    let n = sorted.len();
-    let k = k.max(1);
-    if 4 * k > n {
-        return Err(EvtError::InsufficientData {
-            needed: 4 * k,
-            got: n,
-        });
-    }
-    let x1 = sorted[n - k];
-    let x2 = sorted[n - 2 * k];
-    let x4 = sorted[n - 4 * k];
-    let upper = x1 - x2;
-    let lower = x2 - x4;
-    if upper <= 0.0 || lower <= 0.0 {
-        return Err(EvtError::invalid(
-            "spacings",
-            "strictly positive (ties in the tail?)",
-            upper.min(lower),
-        ));
-    }
-    Ok((upper / lower).ln() / std::f64::consts::LN_2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Frechet, Gumbel, ReversedWeibull};
+    use crate::{Gumbel, ReversedWeibull};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn weibull_constants_for_uniform() {
-        // U(0,1): F^{-1}(q) = q, ω = 1
-        let c = normalizing_constants(LimitingLaw::Weibull, 50, |q| q, Some(1.0)).unwrap();
-        assert_eq!(c.b_n, 1.0);
-        assert!((c.a_n - 0.02).abs() < 1e-12);
-    }
-
-    #[test]
-    fn frechet_constants_for_pareto() {
-        // Pareto(α=2): F(x) = 1 - x^{-2}, F^{-1}(q) = (1-q)^{-1/2}
-        let c = normalizing_constants(LimitingLaw::Frechet, 100, |q| (1.0 - q).powf(-0.5), None)
-            .unwrap();
-        assert_eq!(c.b_n, 0.0);
-        assert!((c.a_n - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gumbel_constants_for_exponential() {
-        // Exp(1): F^{-1}(q) = -ln(1-q); b_n = ln n, a_n -> 1
-        let c =
-            normalizing_constants(LimitingLaw::Gumbel, 1000, |q| -(1.0 - q).ln(), None).unwrap();
-        assert!((c.b_n - 1000f64.ln()).abs() < 1e-9);
-        assert!((c.a_n - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weibull_requires_endpoint() {
-        assert!(normalizing_constants(LimitingLaw::Weibull, 10, |q| q, None).is_err());
-        assert!(
-            normalizing_constants(LimitingLaw::Weibull, 10, |q| q, Some(f64::INFINITY)).is_err()
-        );
-    }
-
-    #[test]
-    fn small_n_rejected() {
-        assert!(normalizing_constants(LimitingLaw::Weibull, 1, |q| q, Some(1.0)).is_err());
-    }
-
-    #[test]
-    fn normalized_maxima_converge_weibull() {
-        // Empirically verify Definition 1 for U(0,1), n = 200:
-        // P{(max - b_n)/a_n <= x} ≈ G_{2,1}(x) = exp(x) for x<0
-        let n = 200;
-        let c = normalizing_constants(LimitingLaw::Weibull, n, |q| q, Some(1.0)).unwrap();
-        let mut rng = SmallRng::seed_from_u64(77);
-        let trials = 20_000;
-        let x0 = -1.0; // G_{2,1}(-1) = exp(-1)
-        let mut cnt = 0;
-        for _ in 0..trials {
-            let mx = (0..n)
-                .map(|_| rand::Rng::gen::<f64>(&mut rng))
-                .fold(f64::NEG_INFINITY, f64::max);
-            if (mx - c.b_n) / c.a_n <= x0 {
-                cnt += 1;
-            }
-        }
-        let emp = cnt as f64 / trials as f64;
-        let g = ReversedWeibull::standard(1.0).unwrap();
-        let analytic = mpe_stats::dist::ContinuousDistribution::cdf(&g, x0);
-        assert!((emp - analytic).abs() < 0.02, "{emp} vs {analytic}");
-    }
-
-    #[test]
-    fn classify_bounded_is_weibull() {
-        assert_eq!(
-            classify_domain(&[1.0; 4], true).unwrap(),
-            LimitingLaw::Weibull
-        );
-    }
+    /// The sign of ξ̂ outside this band names the domain of attraction:
+    /// positive Fréchet, negative Weibull, inside it Gumbel. The moment
+    /// estimator's noise at these sample sizes keeps genuine Gumbel
+    /// samples (ξ = 0) inside ±0.2.
+    const BAND: f64 = 0.2;
 
     #[test]
     fn classify_heavy_tail_as_frechet() {
-        let f = Frechet::new(1.0, 0.0, 1.0).unwrap();
+        // Pareto(α = 1): ξ = 1.
         let mut rng = SmallRng::seed_from_u64(3);
-        let data: Vec<f64> = (0..20_000).map(|_| f.sample(&mut rng)).collect();
-        assert_eq!(classify_domain(&data, false).unwrap(), LimitingLaw::Frechet);
+        let data: Vec<f64> = (0..20_000)
+            .map(|_| rng.gen_range(1e-12f64..1.0).recip())
+            .collect();
+        let xi = moment_tail_index(&data).unwrap();
+        assert!(xi > BAND, "{xi}");
     }
 
     #[test]
     fn classify_bounded_sample_as_weibull() {
         let w = ReversedWeibull::new(1.0, 1.0, 5.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(4);
-        let data: Vec<f64> = w.sample_n(&mut rng, 20_000);
-        assert_eq!(classify_domain(&data, false).unwrap(), LimitingLaw::Weibull);
+        let data = w.sample_n(&mut rng, 20_000);
+        let xi = moment_tail_index(&data).unwrap();
+        assert!(xi < -BAND, "{xi}");
     }
 
     #[test]
@@ -376,64 +85,12 @@ mod tests {
         let g = Gumbel::new(0.0, 1.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(5);
         let data: Vec<f64> = (0..20_000).map(|_| g.sample(&mut rng)).collect();
-        assert_eq!(classify_domain(&data, false).unwrap(), LimitingLaw::Gumbel);
+        let xi = moment_tail_index(&data).unwrap();
+        assert!(xi.abs() <= BAND, "{xi}");
     }
 
     #[test]
     fn classify_insufficient_data() {
-        assert!(classify_domain(&[1.0, 2.0], false).is_err());
         assert!(moment_tail_index(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn hill_recovers_pareto_index() {
-        // Pareto(α = 2): ξ = 0.5
-        let mut rng = SmallRng::seed_from_u64(21);
-        let data: Vec<f64> = (0..50_000)
-            .map(|_| {
-                let u: f64 = rand::Rng::gen_range(&mut rng, 1e-12..1.0);
-                u.powf(-0.5)
-            })
-            .collect();
-        let xi = hill_tail_index(&data, 1000).unwrap();
-        assert!((xi - 0.5).abs() < 0.05, "{xi}");
-    }
-
-    #[test]
-    fn hill_requires_positive_tail() {
-        let data: Vec<f64> = (0..100).map(|i| i as f64 - 90.0).collect();
-        assert!(hill_tail_index(&data, 50).is_err());
-        assert!(hill_tail_index(&[1.0, 2.0], 1).is_err());
-    }
-
-    #[test]
-    fn pickands_sign_discriminates_domains() {
-        let mut rng = SmallRng::seed_from_u64(22);
-        // Bounded (Weibull-domain) sample -> negative-ish ξ
-        let w = ReversedWeibull::new(1.0, 1.0, 5.0).unwrap();
-        let bounded = w.sample_n(&mut rng, 40_000);
-        let xi_bounded = pickands_tail_index(&bounded, 500).unwrap();
-        // Heavy (Fréchet-domain) sample -> positive ξ
-        let f = Frechet::new(1.0, 0.0, 1.0).unwrap();
-        let heavy: Vec<f64> = (0..40_000).map(|_| f.sample(&mut rng)).collect();
-        let xi_heavy = pickands_tail_index(&heavy, 500).unwrap();
-        assert!(xi_bounded < xi_heavy, "{xi_bounded} vs {xi_heavy}");
-        assert!(xi_heavy > 0.5);
-        assert!(xi_bounded < 0.0);
-    }
-
-    #[test]
-    fn pickands_validation() {
-        assert!(pickands_tail_index(&[1.0; 10], 2).is_err()); // too small
-        let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        assert!(pickands_tail_index(&data, 30).is_err()); // 4k > n
-        assert!(pickands_tail_index(&[5.0; 100], 10).is_err()); // ties
-    }
-
-    #[test]
-    fn law_display() {
-        assert_eq!(LimitingLaw::Weibull.to_string(), "Weibull");
-        assert_eq!(LimitingLaw::Frechet.to_string(), "Fréchet");
-        assert_eq!(LimitingLaw::Gumbel.to_string(), "Gumbel");
     }
 }

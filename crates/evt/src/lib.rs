@@ -4,55 +4,49 @@
 //! *"Maximum Power Estimation Using the Limiting Distributions of Extreme
 //! Order Statistics"* (Qiu, Wu, Pedram — DAC 1998):
 //!
-//! * the three classical limiting laws of sample maxima —
-//!   [`Frechet`], [`ReversedWeibull`], [`Gumbel`] — plus the unified
-//!   [`Gev`] parameterization;
 //! * the paper's generalized Weibull `G(x; α, β, μ) = exp(−β(μ−x)^α)`
-//!   (Eqn 2.16) whose location `μ` *is* the population maximum;
-//! * domain-of-attraction classification and the normalizing constants
-//!   `a_n`, `b_n` of Theorems 1–2 ([`domain`]);
-//! * block-maxima and order-statistic utilities ([`order_stats`]);
+//!   (Eqn 2.16) — the reversed-Weibull limiting law of maxima with a
+//!   finite right endpoint — whose location `μ` *is* the population
+//!   maximum ([`ReversedWeibull`]);
+//! * the [`Gumbel`] law and the moment tail-index estimator ([`domain`])
+//!   that the limiting-law ablation tests the Weibull assumption against;
+//! * the generalized Pareto law of threshold excesses
+//!   ([`GeneralizedPareto`]) behind the peaks-over-threshold fallback;
 //! * the tail-equivalence quantile used by the finite-population estimator
-//!   of the paper's Section 3.4 ([`tail`]).
+//!   of the paper's Section 3.4 ([`tail`]) and return levels
+//!   ([`return_level`]).
 //!
 //! All distributions implement
 //! [`mpe_stats::dist::ContinuousDistribution`], so they plug into the
 //! goodness-of-fit and fitting tools of `mpe-stats` directly.
 //!
-//! ## Example: the Fisher–Tippett story in four lines
+//! ## Example: max-stability of the reversed Weibull
 //!
 //! ```
-//! use mpe_evt::{ReversedWeibull, order_stats::block_maxima};
+//! use mpe_evt::ReversedWeibull;
 //! use mpe_stats::dist::ContinuousDistribution;
 //!
 //! # fn main() -> Result<(), mpe_evt::EvtError> {
-//! // Power-like data bounded above by 10.0 ...
-//! let data: Vec<f64> = (0..3000).map(|i| 10.0 - ((i % 100) as f64 / 10.0)).collect();
-//! // ... block maxima of size 30 concentrate near the right endpoint:
-//! let maxima = block_maxima(&data, 30)?;
-//! assert!(maxima.iter().all(|&m| m <= 10.0));
-//!
 //! let g = ReversedWeibull::new(3.0, 1.0, 10.0)?;
 //! assert_eq!(g.cdf(11.0), 1.0); // right endpoint is the maximum
+//!
+//! // The maximum of 30 draws follows the same law with β scaled by 30:
+//! let g30 = g.maximum_of(30);
+//! assert!((g30.cdf(9.5) - g.cdf(9.5).powi(30)).abs() < 1e-12);
+//! assert_eq!(g30.mu(), g.mu()); // ... and the same endpoint
 //! # Ok(())
 //! # }
 //! ```
 
 pub mod domain;
 pub mod error;
-pub mod frechet;
-pub mod gev;
 pub mod gpd;
 pub mod gumbel;
-pub mod order_stats;
 pub mod return_level;
 pub mod tail;
 pub mod weibull;
 
-pub use domain::{normalizing_constants, LimitingLaw, NormalizingConstants};
 pub use error::EvtError;
-pub use frechet::Frechet;
-pub use gev::Gev;
 pub use gpd::GeneralizedPareto;
 pub use gumbel::Gumbel;
 pub use weibull::ReversedWeibull;

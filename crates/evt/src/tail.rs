@@ -63,53 +63,9 @@ pub fn finite_population_maximum(
     Ok(fitted.mu() - (neg_ln_q / fitted.beta()).powf(1.0 / fitted.alpha()))
 }
 
-/// Degree of tail equivalence between two CDFs near a common right endpoint:
-/// the maximum absolute CDF difference over the top `fraction` of the
-/// interval `[lo, endpoint]`, probed on `steps` points.
-///
-/// Used by diagnostics to confirm that a fitted Weibull tracks the empirical
-/// distribution *where it matters* — the paper's Figure 1 observation that
-/// only the region near the maximum needs to match.
-///
-/// # Errors
-///
-/// Returns [`EvtError::InvalidParameter`] for a degenerate interval or
-/// `fraction ∉ (0, 1]`.
-pub fn tail_discrepancy<F, G>(
-    f: F,
-    g: G,
-    lo: f64,
-    endpoint: f64,
-    fraction: f64,
-    steps: usize,
-) -> Result<f64, EvtError>
-where
-    F: Fn(f64) -> f64,
-    G: Fn(f64) -> f64,
-{
-    // `partial_cmp` so a NaN endpoint or bound is rejected, not let through.
-    if endpoint.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
-        return Err(EvtError::invalid("endpoint", "> lo", endpoint - lo));
-    }
-    if !(fraction > 0.0 && fraction <= 1.0) {
-        return Err(EvtError::invalid("fraction", "0 < fraction <= 1", fraction));
-    }
-    if steps < 2 {
-        return Err(EvtError::invalid("steps", ">= 2", steps as f64));
-    }
-    let start = endpoint - fraction * (endpoint - lo);
-    let mut worst: f64 = 0.0;
-    for i in 0..steps {
-        let x = start + (endpoint - start) * i as f64 / (steps - 1) as f64;
-        worst = worst.max((f(x) - g(x)).abs());
-    }
-    Ok(worst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpe_stats::dist::ContinuousDistribution;
 
     #[test]
     fn finite_population_below_endpoint() {
@@ -158,28 +114,5 @@ mod tests {
     fn tiny_population_rejected() {
         let w = ReversedWeibull::new(3.0, 2.0, 5.0).unwrap();
         assert!(finite_population_maximum(&w, 1, 30).is_err());
-    }
-
-    #[test]
-    fn tail_discrepancy_zero_for_same() {
-        let w = ReversedWeibull::new(2.0, 1.0, 3.0).unwrap();
-        let d = tail_discrepancy(|x| w.cdf(x), |x| w.cdf(x), 0.0, 3.0, 0.2, 100).unwrap();
-        assert_eq!(d, 0.0);
-    }
-
-    #[test]
-    fn tail_discrepancy_detects_difference() {
-        let w1 = ReversedWeibull::new(2.0, 1.0, 3.0).unwrap();
-        let w2 = ReversedWeibull::new(2.0, 2.0, 3.0).unwrap();
-        let d = tail_discrepancy(|x| w1.cdf(x), |x| w2.cdf(x), 0.0, 3.0, 0.5, 200).unwrap();
-        assert!(d > 0.01);
-    }
-
-    #[test]
-    fn tail_discrepancy_validation() {
-        let id = |x: f64| x;
-        assert!(tail_discrepancy(id, id, 1.0, 1.0, 0.5, 10).is_err());
-        assert!(tail_discrepancy(id, id, 0.0, 1.0, 0.0, 10).is_err());
-        assert!(tail_discrepancy(id, id, 0.0, 1.0, 0.5, 1).is_err());
     }
 }

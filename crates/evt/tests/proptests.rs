@@ -1,7 +1,6 @@
 //! Property-based tests for the extreme-value distributions.
 
-use mpe_evt::order_stats::{block_maxima, order_statistic_cdf, sample_maximum};
-use mpe_evt::{Frechet, Gev, Gumbel, ReversedWeibull};
+use mpe_evt::{Gumbel, ReversedWeibull};
 use mpe_stats::dist::ContinuousDistribution;
 use rand::{check, Rng};
 
@@ -60,86 +59,6 @@ fn gumbel_quantile_roundtrip() {
         let q = rng.gen_range(0.001f64..0.999);
         let g = Gumbel::new(mu, sigma).unwrap();
         assert!((g.cdf(g.quantile(q).unwrap()) - q).abs() < 1e-9);
-    });
-}
-
-#[test]
-fn frechet_support() {
-    check(CASES, |rng| {
-        let alpha = rng.gen_range(0.3f64..10.0);
-        let mu = rng.gen_range(-10.0f64..10.0);
-        let sigma = rng.gen_range(0.1f64..10.0);
-        let x = rng.gen_range(-30.0f64..30.0);
-        let f = Frechet::new(alpha, mu, sigma).unwrap();
-        if x <= mu {
-            assert_eq!(f.cdf(x), 0.0);
-        } else {
-            // Analytically positive; may underflow to 0 just above μ.
-            assert!(f.cdf(x) >= 0.0);
-        }
-        // Far above the location the CDF is comfortably positive.
-        assert!(f.cdf(mu + 10.0 * sigma) > 0.0);
-    });
-}
-
-#[test]
-fn gev_weibull_conversion_consistent() {
-    check(CASES, |rng| {
-        let alpha = rng.gen_range(2.1f64..10.0);
-        let beta = rng.gen_range(0.1f64..10.0);
-        let mu = rng.gen_range(-5.0f64..5.0);
-        let x = rng.gen_range(-20.0f64..5.0);
-        let w = ReversedWeibull::new(alpha, beta, mu).unwrap();
-        let gev: Gev = w.into();
-        assert!((gev.cdf(x) - w.cdf(x)).abs() < 1e-8);
-    });
-}
-
-#[test]
-fn block_maxima_dominate_blocks() {
-    check(CASES, |rng| {
-        let len = rng.gen_range(8usize..200);
-        let data: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e3f64..1e3)).collect();
-        let bs = rng.gen_range(1usize..8);
-        if data.len() >= bs {
-            let maxima = block_maxima(&data, bs).unwrap();
-            let overall = sample_maximum(&data).unwrap();
-            for m in &maxima {
-                assert!(*m <= overall);
-            }
-            // max of block maxima == max over the covered prefix
-            let covered = &data[..maxima.len() * bs];
-            assert_eq!(
-                sample_maximum(&maxima).unwrap(),
-                sample_maximum(covered).unwrap()
-            );
-        }
-    });
-}
-
-#[test]
-fn order_statistic_cdf_monotone_in_f() {
-    check(CASES, |rng| {
-        let r = rng.gen_range(1usize..30);
-        let extra = rng.gen_range(0usize..30);
-        let f = rng.gen_range(0.0f64..0.99);
-        let n = r + extra;
-        let a = order_statistic_cdf(r, n, f).unwrap();
-        let b = order_statistic_cdf(r, n, f + 0.01).unwrap();
-        assert!(b >= a - 1e-12);
-    });
-}
-
-#[test]
-fn order_statistic_cdf_decreasing_in_r() {
-    check(CASES, |rng| {
-        let r = rng.gen_range(1usize..29);
-        let n = rng.gen_range(30usize..60);
-        let f = rng.gen_range(0.01f64..0.99);
-        // Higher order statistics are stochastically larger: P{X_{r+1:n} <= t} <= P{X_{r:n} <= t}
-        let a = order_statistic_cdf(r, n, f).unwrap();
-        let b = order_statistic_cdf(r + 1, n, f).unwrap();
-        assert!(b <= a + 1e-12);
     });
 }
 

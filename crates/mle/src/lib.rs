@@ -19,11 +19,10 @@
 //! 2. The outer problem maximizes the profiled mean log-likelihood
 //!    `ℓ*(μ)` over a bracket above the sample maximum ([`profile`]).
 //!
-//! [`covariance`] recovers the paper's `VAR` matrix (Eqn 3.4) from the
-//! numerical Fisher information at the optimum, and [`lsq`] provides the
-//! least-mean-squares CDF fit the paper uses for Figure 1 (and dismisses,
-//! correctly, as less stable than MLE for small samples — a claim you can
-//! reproduce with the `ablation_lsq_vs_mle` experiment).
+//! [`lsq`] provides the least-mean-squares CDF fit the paper uses for
+//! Figure 1 (and dismisses, correctly, as less stable than MLE for small
+//! samples — a claim you can reproduce with the `ablation_estimator`
+//! experiment).
 //!
 //! ## Example
 //!
@@ -44,18 +43,14 @@
 //! # }
 //! ```
 
-pub mod covariance;
 pub mod error;
-pub mod gev;
 pub mod gumbel;
 pub mod lsq;
 pub mod pot;
 pub mod profile;
 pub mod weibull2;
 
-pub use covariance::{fisher_covariance, CovarianceMatrix};
 pub use error::MleError;
-pub use gev::{fit_gev, GevFit};
 pub use gumbel::{fit_gumbel, GumbelFit};
 pub use lsq::lsq_fit_reversed_weibull;
 pub use pot::{fit_pot, PotFit};

@@ -57,7 +57,7 @@ impl Default for CapacitanceModel {
 
 impl CapacitanceModel {
     /// Switched capacitance at the output net of one node.
-    pub fn node_capacitance(&self, circuit: &Circuit, id: NodeId) -> f64 {
+    fn node_capacitance(&self, circuit: &Circuit, id: NodeId) -> f64 {
         let kind = circuit.kind(id);
         let fanin = circuit.fanin(id).len() as f64;
         let fanout = circuit.fanout_count(id) as f64;

@@ -93,21 +93,6 @@ impl GateKind {
             _ => None,
         }
     }
-
-    /// All logic kinds (everything except `Input`), useful for random
-    /// generation and exhaustive tests.
-    pub fn logic_kinds() -> [GateKind; 8] {
-        [
-            GateKind::Buf,
-            GateKind::Not,
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ]
-    }
 }
 
 impl std::fmt::Display for GateKind {
@@ -165,7 +150,8 @@ mod tests {
 
     #[test]
     fn keyword_roundtrip() {
-        for kind in GateKind::logic_kinds() {
+        use GateKind::*;
+        for kind in [Input, Buf, Not, And, Nand, Or, Nor, Xor, Xnor] {
             assert_eq!(
                 GateKind::from_bench_keyword(kind.bench_keyword()),
                 Some(kind)

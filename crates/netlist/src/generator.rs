@@ -249,24 +249,19 @@ pub fn random_dag(
         }
     }
 
-    // Phase 3: reduce dangling gates to exactly `outputs`.
-    let recompute_dangling = |fanins: &Vec<Vec<usize>>| -> Vec<usize> {
-        let mut has_fanout = vec![false; total_nodes];
-        for f in fanins.iter().flatten() {
-            has_fanout[*f] = true;
-        }
-        (inputs..total_nodes).filter(|&n| !has_fanout[n]).collect()
-    };
+    // Phase 3: reduce dangling gates to exactly `outputs`. After phase 2
+    // `used` marks exactly the nodes with a fanout, and a splice gives a
+    // fanout only to the node it splices, so the dangling list is built
+    // once and shrinks from its head.
+    let dangling: Vec<usize> = (inputs..total_nodes).filter(|&n| !used[n]).collect();
     // The layer of a gate node id; splice targets must sit in a strictly
     // later layer so intra-layer chains cannot exceed the requested depth.
     let layer_of = |node: usize| -> usize { layer_start.partition_point(|&s| s <= node) - 1 };
-    let mut dangling = recompute_dangling(&fanins);
-    let mut guard = 0;
-    while dangling.len() > outputs && guard < 10 * gates {
-        guard += 1;
+    let mut head = 0;
+    while dangling.len() - head > outputs {
         // Splice the earliest dangling node into a spliceable gate in a
         // later layer.
-        let d = dangling[0];
+        let d = dangling[head];
         let first_later = layer_start
             .get(layer_of(d) + 1)
             .copied()
@@ -296,10 +291,10 @@ pub fn random_dag(
                 break; // d is in the last layer; it stays an output
             }
         }
-        dangling = recompute_dangling(&fanins);
+        head += 1;
     }
     // If too few dangling nodes, promote additional deep gates to outputs.
-    let mut output_ids: Vec<usize> = dangling;
+    let mut output_ids: Vec<usize> = dangling[head..].to_vec();
     let mut probe = total_nodes;
     while output_ids.len() < outputs && probe > inputs {
         probe -= 1;
@@ -567,5 +562,51 @@ mod tests {
         let a = generate(Iscas85::C432, 99).unwrap();
         let b = generate(Iscas85::C432, 99).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// FNV-1a over every node's kind and fan-ins, then the outputs: unlike
+    /// `DefaultHasher`, stable across Rust releases and platforms.
+    fn netlist_digest(c: &Circuit) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for id in c.node_ids() {
+            eat(c.kind(id).bench_keyword().as_bytes());
+            for f in c.fanin(id) {
+                eat(&(f.index() as u32).to_le_bytes());
+            }
+            eat(b";");
+        }
+        for o in c.outputs() {
+            eat(&(o.index() as u32).to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn generate_matches_pinned_digest() {
+        // Generated netlists are part of every estimate: a changed digest
+        // moves every number downstream.
+        let pinned: [(Iscas85, u64); 10] = [
+            (Iscas85::C432, 0x062a4fbb1a000278),
+            (Iscas85::C499, 0x848348aaa9f17530),
+            (Iscas85::C880, 0x7a687bfbc5ab79b9),
+            (Iscas85::C1355, 0x023cbe8a6072d7f2),
+            (Iscas85::C1908, 0x40803648cfe84791),
+            (Iscas85::C2670, 0x366250ad03794ec8),
+            (Iscas85::C3540, 0xc4e0fbc9c37c7ab3),
+            (Iscas85::C5315, 0x6b9f13db2e6b1968),
+            (Iscas85::C6288, 0xa8167d7425a6c0ae),
+            (Iscas85::C7552, 0xb6eb79c5307de56e),
+        ];
+        let got: Vec<(Iscas85, u64)> = pinned
+            .iter()
+            .map(|&(which, _)| (which, netlist_digest(&generate(which, 1).unwrap())))
+            .collect();
+        assert_eq!(got, pinned, "netlist digests at seed 1: {got:#x?}");
     }
 }

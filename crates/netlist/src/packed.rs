@@ -18,7 +18,7 @@
 //! `LANES` wide.
 
 use crate::block::Block;
-use crate::circuit::{Circuit, NodeId};
+use crate::circuit::Circuit;
 use crate::gate::GateKind;
 
 /// Number of assignment lanes packed into the default (`u64`) word —
@@ -90,7 +90,7 @@ impl PackedEvaluator {
     }
 
     /// CSR fan-in indices of node `i`.
-    pub fn fanin_of(&self, i: usize) -> &[u32] {
+    fn fanin_of(&self, i: usize) -> &[u32] {
         let lo = self.fanin_offsets[i] as usize;
         let hi = self.fanin_offsets[i + 1] as usize;
         &self.fanin[lo..hi]
@@ -216,11 +216,6 @@ pub fn eval_node<B: Block>(evaluator: &PackedEvaluator, node: usize, values: &[B
 /// packed sweep exactly like [`Circuit::evaluate`].
 pub fn unpack_lane<B: Block>(values: &[B], lane: usize) -> Vec<bool> {
     values.iter().map(|&w| w.get(lane)).collect()
-}
-
-/// Helper for engines that need the `NodeId` of a CSR index.
-pub fn node_id(index: u32) -> NodeId {
-    NodeId::from_index(index as usize)
 }
 
 #[cfg(test)]

@@ -90,11 +90,6 @@ impl ActivityProfile {
         self.toggle_rate[id.index()]
     }
 
-    /// Mean switched capacitance per cycle for one node (fF).
-    pub fn switched_cap_rate(&self, id: NodeId) -> f64 {
-        self.cap_rate[id.index()]
-    }
-
     /// Number of cycles profiled.
     pub fn cycles(&self) -> usize {
         self.cycles
@@ -117,12 +112,6 @@ impl ActivityProfile {
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite rates"));
         ranked.truncate(top);
         ranked
-    }
-
-    /// Average switching activity over all nodes (the circuit-level number
-    /// that population constraints are phrased in).
-    pub fn average_activity(&self) -> f64 {
-        self.toggle_rate.iter().sum::<f64>() / self.toggle_rate.len() as f64
     }
 }
 
@@ -183,7 +172,6 @@ mod tests {
             assert!(w[0].1 >= w[1].1);
         }
         assert!(hot[0].1 > 0.0);
-        assert!(p.average_activity() > 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * **zero-delay**: one pass settles all "before" states, a second all
 //!   "after" states, and each node's difference mask is counted into the
 //!   word's per-lane toggle and capacitance sums;
-//! * **unit / fanout delay**: the [per-lane event kernel](crate::packed_event)
+//! * **unit / fanout delay**: the per-lane event kernel (`packed_event`)
 //!   replays the scalar time-wheel with a pending-lane mask per
 //!   `(time, node)`, so glitch-accurate simulation also settles a whole
 //!   word of assignments per wheel drain.

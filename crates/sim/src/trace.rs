@@ -116,11 +116,6 @@ impl Waveform {
         })
     }
 
-    /// Node values before the second vector was applied.
-    pub fn initial_values(&self) -> &[bool] {
-        &self.initial
-    }
-
     /// All transitions in time order (ties in node order).
     pub fn transitions(&self) -> &[Transition] {
         &self.transitions
@@ -129,15 +124,6 @@ impl Waveform {
     /// Time of the final transition.
     pub fn settle_time(&self) -> u64 {
         self.settle_time
-    }
-
-    /// Transitions of one node (its glitch train).
-    pub fn node_transitions(&self, node: NodeId) -> Vec<Transition> {
-        self.transitions
-            .iter()
-            .filter(|t| t.node == node)
-            .copied()
-            .collect()
     }
 
     /// Nodes ranked by transition count — the glitchiest first.
@@ -255,9 +241,8 @@ mod tests {
         let c = glitch_circuit();
         let w = Waveform::capture(&c, &[false, true], &[true, true], DelayModel::Unit).unwrap();
         let y = c.find("y").unwrap();
-        let y_train = w.node_transitions(y);
         // y may glitch (0->1->... ) but always ends at its steady value.
-        if let Some(last) = y_train.last() {
+        if let Some(last) = w.transitions().iter().rfind(|t| t.node == y) {
             let steady = c.evaluate(&[true, true]);
             assert_eq!(last.value, steady[y.index()]);
         }

@@ -4,8 +4,7 @@ use crate::error::StatsError;
 
 /// A fixed-width histogram over a closed interval.
 ///
-/// Used by the experiment harness to print Figure-1/Figure-2 style density
-/// series and by the least-squares distribution fitting in [`crate::fit`].
+/// Used by the Figure 2 experiment to print its density series.
 ///
 /// # Example
 ///
@@ -110,13 +109,8 @@ impl Histogram {
         self.outliers
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Bin width.
-    pub fn bin_width(&self) -> f64 {
+    fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 
@@ -124,15 +118,15 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= bins()`.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    /// Panics if `i` is not a bin index.
+    fn bin_center(&self, i: usize) -> f64 {
         assert!(i < self.counts.len(), "bin index out of range");
         self.lo + (i as f64 + 0.5) * self.bin_width()
     }
 
     /// Density estimate per bin: `count / (total · width)`, forming a
     /// piecewise-constant PDF estimate that integrates to 1 over `[lo, hi]`.
-    pub fn densities(&self) -> Vec<f64> {
+    fn densities(&self) -> Vec<f64> {
         let denom = self.total as f64 * self.bin_width();
         self.counts
             .iter()
@@ -204,7 +198,7 @@ mod tests {
         assert_eq!(h.bin_width(), 2.0);
         assert_eq!(h.bin_center(0), 1.0);
         assert_eq!(h.bin_center(4), 9.0);
-        assert_eq!(h.bins(), 5);
+        assert_eq!(h.counts().len(), 5);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Self-contained numerical foundations for the `maxpower` workspace:
 //! special functions, classic continuous distributions with cumulative
 //! distribution functions *and* their inverses, descriptive statistics,
-//! empirical distributions, goodness-of-fit testing, curve fitting and
-//! derivative-free optimization.
+//! empirical distributions, goodness-of-fit testing and the optimizers
+//! the likelihood fits use.
 //!
 //! Everything is pure `f64` math with no external numerical dependencies, so
 //! results are reproducible across platforms. Random sampling helpers accept
@@ -29,19 +29,16 @@
 //! # }
 //! ```
 
-pub mod bootstrap;
 pub mod descriptive;
 pub mod dist;
 pub mod ecdf;
 pub mod error;
-pub mod fit;
 pub mod histogram;
 pub mod ks;
 pub mod optimize;
 pub mod sample;
 pub mod special;
 
-pub use bootstrap::{bootstrap_interval, BootstrapInterval};
 pub use descriptive::Summary;
 pub use dist::{ChiSquared, ContinuousDistribution, Normal, StudentT};
 pub use ecdf::Ecdf;

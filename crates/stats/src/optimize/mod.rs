@@ -6,7 +6,7 @@
 //! * [`golden_section`] — robust 1-D minimization on a bracket; used for the
 //!   outer profile-likelihood search over the Weibull location `μ`.
 //! * [`nelder_mead`] — N-D simplex minimization; used by the least-squares
-//!   CDF fits (Figures 1–2) and as a cross-check of the profile MLE.
+//!   CDF fit (Figure 1) and the peaks-over-threshold fit.
 //! * [`bisect_newton`] — safeguarded scalar root finder; used for the inner
 //!   Weibull shape equation.
 

@@ -57,27 +57,6 @@ pub fn reversed_weibull<R: Rng + ?Sized>(rng: &mut R, alpha: f64, beta: f64, mu:
     mu - (-u.ln() / beta).powf(1.0 / alpha)
 }
 
-/// Fills `out` with indices of a simple random sample *without replacement*
-/// from `0..population` (Floyd's algorithm). Order is not random.
-///
-/// # Panics
-///
-/// Panics if `out.len() > population`.
-pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, population: usize, out: &mut Vec<usize>) {
-    let k = out.capacity().max(out.len());
-    out.clear();
-    assert!(k <= population, "cannot sample {k} from {population}");
-    // Floyd's algorithm: for j in population-k..population, pick t in 0..=j;
-    // insert t unless already chosen, else insert j.
-    let mut chosen = std::collections::HashSet::with_capacity(k);
-    for j in (population - k)..population {
-        let t = rng.gen_range(0..=j);
-        let v = if chosen.contains(&t) { j } else { t };
-        chosen.insert(v);
-        out.push(v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,34 +119,5 @@ mod tests {
         }
         let emp = cnt as f64 / n as f64;
         assert!((emp - analytic).abs() < 0.01, "{emp} vs {analytic}");
-    }
-
-    #[test]
-    fn sample_indices_unique_and_in_range() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut out = Vec::with_capacity(30);
-        sample_indices(&mut rng, 100, &mut out);
-        assert_eq!(out.len(), 30);
-        let set: std::collections::HashSet<_> = out.iter().collect();
-        assert_eq!(set.len(), 30);
-        assert!(out.iter().all(|&i| i < 100));
-    }
-
-    #[test]
-    fn sample_indices_full_population() {
-        let mut rng = SmallRng::seed_from_u64(13);
-        let mut out = Vec::with_capacity(10);
-        sample_indices(&mut rng, 10, &mut out);
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot sample")]
-    fn sample_indices_overflow() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut out = Vec::with_capacity(11);
-        sample_indices(&mut rng, 10, &mut out);
     }
 }

@@ -81,7 +81,7 @@ pub fn erf(x: f64) -> f64 {
 /// The complementary error function `erfc(x) = 1 − erf(x)`.
 ///
 /// Evaluated through the identity `erfc(x) = Q(½, x²)` with the
-/// regularized upper incomplete gamma function [`reg_gamma_q`], giving
+/// regularized upper incomplete gamma function `Q`, giving
 /// ~1e-14 relative accuracy including deep in the right tail, where naive
 /// `1 − erf(x)` would cancel catastrophically.
 ///
@@ -165,7 +165,7 @@ pub fn reg_gamma_p(a: f64, x: f64) -> Result<f64, StatsError> {
 /// # Errors
 ///
 /// Same error conditions as [`reg_gamma_p`].
-pub fn reg_gamma_q(a: f64, x: f64) -> Result<f64, StatsError> {
+fn reg_gamma_q(a: f64, x: f64) -> Result<f64, StatsError> {
     if a <= 0.0 || !a.is_finite() {
         return Err(StatsError::invalid("a", "a > 0 and finite", a));
     }

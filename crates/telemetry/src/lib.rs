@@ -211,7 +211,7 @@ impl Telemetry {
     /// A handle sharing this bus whose every event carries `worker` as its
     /// lane attribute. The parallel execution engine hands one such handle
     /// to each worker thread, so interleaved spans in a trace can be
-    /// untangled per lane (and [`replay`] validates nesting lane by lane).
+    /// untangled per lane (and [`replay()`] validates nesting lane by lane).
     #[must_use]
     pub fn for_worker(&self, worker: u64) -> Telemetry {
         Telemetry {

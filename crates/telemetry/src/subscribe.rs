@@ -163,16 +163,6 @@ impl SubscriberHub {
         drop(st);
         self.shared.readable.notify_all();
     }
-
-    /// Whether [`close`](Self::close) has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.shared
-            .state
-            .lock()
-            .expect("subscriber ring poisoned")
-            .closed
-    }
 }
 
 /// A consumer cursor over the shared ring. Each subscriber advances

@@ -23,7 +23,6 @@ use crate::pair::VectorPair;
 /// may repeat.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Population {
-    circuit_name: String,
     generator: PairGenerator,
     pairs: Vec<VectorPair>,
     powers: Vec<f64>,
@@ -104,7 +103,6 @@ impl Population {
         )?;
         let actual_max = powers.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         Ok(Population {
-            circuit_name: circuit.name().to_string(),
             generator: generator.clone(),
             pairs,
             powers,
@@ -112,11 +110,6 @@ impl Population {
             delay,
             seed,
         })
-    }
-
-    /// The circuit this population was simulated on.
-    pub fn circuit_name(&self) -> &str {
-        &self.circuit_name
     }
 
     /// The law the pairs were drawn from.
@@ -219,7 +212,6 @@ mod tests {
         assert_eq!(p.size(), 1_000);
         assert_eq!(p.pairs().len(), 1_000);
         assert_eq!(p.powers().len(), 1_000);
-        assert_eq!(p.circuit_name(), "C432");
         assert!(p.actual_max_power() > 0.0);
         assert!(p.powers().iter().all(|&x| x <= p.actual_max_power()));
         assert_eq!(p.seed(), 1);

@@ -47,7 +47,7 @@ impl MarkovStream {
     /// Returns [`VectorsError::InvalidProbability`] for any probability
     /// outside `[0, 1]` and [`VectorsError::WidthMismatch`] for an empty
     /// vector.
-    pub fn with_activities<R: Rng + ?Sized>(
+    fn with_activities<R: Rng + ?Sized>(
         rng: &mut R,
         activity: Vec<f64>,
     ) -> Result<MarkovStream, VectorsError> {
@@ -91,7 +91,7 @@ impl MarkovStream {
 
     /// Advances one cycle and returns the `(previous, new)` transition as a
     /// [`VectorPair`] — the unit the power simulator consumes.
-    pub fn step_pair<R: Rng + ?Sized>(&mut self, rng: &mut R) -> VectorPair {
+    fn step_pair<R: Rng + ?Sized>(&mut self, rng: &mut R) -> VectorPair {
         let before = self.state.clone();
         self.step(rng);
         VectorPair::new(before, self.state.clone())
