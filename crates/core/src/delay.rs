@@ -15,7 +15,7 @@ use rand::RngCore;
 
 use mpe_netlist::Circuit;
 use mpe_sim::{DelayModel, PowerConfig, PowerSimulator};
-use mpe_vectors::PairGenerator;
+use mpe_vectors::{PairGenerator, VectorPair};
 
 use crate::error::MaxPowerError;
 use crate::source::PowerSource;
@@ -53,6 +53,8 @@ pub struct DelaySource<'c> {
     generator: PairGenerator,
     width: usize,
     simulated: u64,
+    /// The pair each draw overwrites.
+    pair: VectorPair,
 }
 
 impl<'c> DelaySource<'c> {
@@ -63,6 +65,7 @@ impl<'c> DelaySource<'c> {
             width: circuit.num_inputs(),
             generator,
             simulated: 0,
+            pair: VectorPair::default(),
         }
     }
 
@@ -74,7 +77,8 @@ impl<'c> DelaySource<'c> {
 
 impl PowerSource for DelaySource<'_> {
     fn sample(&mut self, rng: &mut dyn RngCore) -> Result<f64, MaxPowerError> {
-        let pair = self.generator.generate(rng, self.width);
+        let pair = &mut self.pair;
+        self.generator.generate_into(rng, self.width, pair);
         self.simulated += 1;
         let report = self
             .simulator

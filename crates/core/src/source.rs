@@ -299,6 +299,15 @@ impl LaneBatcher {
 /// all the batch's vector pairs from the RNG *before* simulating (the
 /// simulator consumes no randomness), so the RNG stream is identical too.
 /// Kernel choice therefore never changes an estimate, only its cost.
+///
+/// Pairs are drawn with [`PairGenerator::generate_into`] into buffers the
+/// source keeps: the batch path overwrites its pair buffer in place, and
+/// the scalar path and the banked re-draws overwrite one scratch pair, so
+/// a steady-state draw allocates no pair. Uniform bits reach the generator
+/// a block at a time through [`RngCore::fill_u32`], one dynamic call per
+/// block of the caller's `&mut dyn RngCore` rather than one per bit. On a
+/// small circuit (C432 under zero delay) drawing a pair costs about as
+/// much as settling it in a 64-lane sweep, so the draw matters.
 #[derive(Debug, Clone)]
 pub struct SimulatorSource<'c> {
     simulator: PowerSimulator<'c>,
@@ -306,7 +315,11 @@ pub struct SimulatorSource<'c> {
     width: usize,
     simulated: u64,
     packed: PackedKernel,
+    /// Pairs of the current sweep, overwritten in place batch after batch
+    /// (see [`draw_pairs`]).
     pair_buf: Vec<VectorPair>,
+    /// The one pair the scalar path and banked re-draws overwrite.
+    scratch_pair: VectorPair,
     report_buf: Vec<CycleReport>,
     batcher: Option<LaneBatcher>,
     single_buf: Vec<f64>,
@@ -331,6 +344,7 @@ impl<'c> SimulatorSource<'c> {
             simulated: 0,
             packed,
             pair_buf: Vec::new(),
+            scratch_pair: VectorPair::default(),
             report_buf: Vec::new(),
             batcher: None,
             single_buf: Vec::new(),
@@ -407,10 +421,12 @@ impl<'c> SimulatorSource<'c> {
 
         // 1. Serve banked readings. Each replaces exactly one
         // generate+simulate, so the caller's RNG advances by one generate
-        // per reading to stay on the canonical per-k stream.
+        // per reading (into a scratch pair that is then dropped) to stay
+        // on the canonical per-k stream.
         let served = batcher.active.len().min(count);
         for _ in 0..served {
-            let _ = self.generator.generate(rng, width);
+            self.generator
+                .generate_into(rng, width, &mut self.scratch_pair);
             let reading = batcher.active.pop_front().expect("length checked");
             out.push(reading);
         }
@@ -420,13 +436,10 @@ impl<'c> SimulatorSource<'c> {
         }
 
         // 2. The current hyper-sample's remaining pairs...
-        self.pair_buf.clear();
-        for _ in 0..fresh {
-            self.pair_buf.push(self.generator.generate(rng, width));
-        }
+        let mut used = draw_pairs(&self.generator, rng, width, &mut self.pair_buf, 0, fresh);
         // 3. ...padded to a full final word with pairs prefetched for the
         // pending hyper-samples, each drawn from its own shadow stream.
-        let spare = (lanes - self.pair_buf.len() % lanes) % lanes;
+        let spare = (lanes - used % lanes) % lanes;
         let mut filler: Vec<(usize, usize)> = Vec::new();
         let mut padded = 0usize;
         for (idx, plan) in batcher.plans.iter_mut().enumerate() {
@@ -437,18 +450,24 @@ impl<'c> SimulatorSource<'c> {
             if take == 0 {
                 continue;
             }
-            for _ in 0..take {
-                self.pair_buf
-                    .push(self.generator.generate(&mut plan.rng, width));
-            }
+            used = draw_pairs(
+                &self.generator,
+                &mut plan.rng,
+                width,
+                &mut self.pair_buf,
+                used,
+                take,
+            );
             plan.prefetched += take;
             padded += take;
             filler.push((idx, take));
         }
 
         // 4. One packed sweep settles everything.
-        let refs: Vec<(&[bool], &[bool])> =
-            self.pair_buf.iter().map(VectorPair::as_slices).collect();
+        let refs: Vec<(&[bool], &[bool])> = self.pair_buf[..used]
+            .iter()
+            .map(VectorPair::as_slices)
+            .collect();
         self.report_buf.clear();
         let swept = match &self.packed {
             PackedKernel::Lanes64(packed) => packed
@@ -474,11 +493,10 @@ impl<'c> SimulatorSource<'c> {
             return Err(e);
         }
 
-        let total = self.pair_buf.len();
-        self.simulated += total as u64;
-        let words = total.div_ceil(lanes) as u64;
+        self.simulated += used as u64;
+        let words = used.div_ceil(lanes) as u64;
         batcher.stats.words_swept += words;
-        batcher.stats.slots_filled += total as u64;
+        batcher.stats.slots_filled += used as u64;
         batcher.stats.slots_capacity += words * lanes as u64;
 
         // 5. Scatter: the current hyper-sample's readings to the caller,
@@ -513,7 +531,8 @@ impl PowerSource for SimulatorSource<'_> {
             filled?;
             return Ok(reading.expect("batched_fill(1) yields exactly one reading"));
         }
-        let pair = self.generator.generate(rng, self.width);
+        let pair = &mut self.scratch_pair;
+        self.generator.generate_into(rng, self.width, pair);
         self.simulated += 1;
         self.simulator
             .cycle_power(&pair.v1, &pair.v2)
@@ -539,11 +558,18 @@ impl PowerSource for SimulatorSource<'_> {
         }
         // Draw the whole batch's vectors first — the simulator consumes no
         // randomness, so this is the same RNG stream as interleaving.
-        self.pair_buf.clear();
-        for _ in 0..count {
-            self.pair_buf.push(self.generator.generate(rng, self.width));
-        }
-        let refs: Vec<(&[bool], &[bool])> = self.pair_buf.iter().map(|p| p.as_slices()).collect();
+        draw_pairs(
+            &self.generator,
+            rng,
+            self.width,
+            &mut self.pair_buf,
+            0,
+            count,
+        );
+        let refs: Vec<(&[bool], &[bool])> = self.pair_buf[..count]
+            .iter()
+            .map(VectorPair::as_slices)
+            .collect();
         self.report_buf.clear();
         match &self.packed {
             PackedKernel::Scalar => unreachable!("scalar path returned above"),
@@ -598,6 +624,28 @@ impl PowerSource for SimulatorSource<'_> {
     fn lane_stats(&self) -> Option<LaneStats> {
         self.batcher.as_ref().map(|b| b.stats)
     }
+}
+
+/// Draws `count` pairs into `pairs[used..used + count]` and returns the
+/// new used count. The pairs already there are overwritten in place, so a
+/// buffer that is reused across batches stops allocating once it has
+/// reached its high-water mark.
+fn draw_pairs<R: RngCore + ?Sized>(
+    generator: &PairGenerator,
+    rng: &mut R,
+    width: usize,
+    pairs: &mut Vec<VectorPair>,
+    used: usize,
+    count: usize,
+) -> usize {
+    let end = used + count;
+    if pairs.len() < end {
+        pairs.resize_with(end, VectorPair::default);
+    }
+    for pair in &mut pairs[used..end] {
+        generator.generate_into(rng, width, pair);
+    }
+    end
 }
 
 /// Pre-simulated population source (the paper's experimental mode).

@@ -341,3 +341,64 @@ fn parallel_telemetry_attributes_work_to_worker_lanes() {
     // Committed accounting is execution-independent even with telemetry on.
     assert_eq!(snap.counter(names::HYPER_SAMPLES), est.hyper_samples as u64);
 }
+
+/// Everything above compares runs *within one build*, so a change to the
+/// pair streams that every kernel and worker count shared would pass it.
+/// These constants pin three simulator-driven estimates across commits:
+/// `(estimate bits, units used, hyper-samples)` at ε = 0.15, seed 42. A
+/// change that moves them on purpose regenerates them and says so.
+#[test]
+fn simulator_estimates_match_pinned_bits() {
+    use maxpower::delay::DelaySource;
+    let config = EstimationConfig {
+        relative_error: 0.15,
+        ..EstimationConfig::default()
+    };
+    let session = EstimatorBuilder::new(config).build();
+    let c432 = generate(Iscas85::C432, 7).expect("circuit generates");
+    let c880 = generate(Iscas85::C880, 7).expect("circuit generates");
+    let zero_uniform = SimulatorSource::new(
+        &c432,
+        PairGenerator::Uniform,
+        DelayModel::Zero,
+        PowerConfig::default(),
+    );
+    let unit_activity = SimulatorSource::new(
+        &c880,
+        PairGenerator::Activity { activity: 0.3 },
+        DelayModel::Unit,
+        PowerConfig::default(),
+    );
+    // `Auto` resolves to the lane widths these pins were taken with, so
+    // the lane-batched prefetch path runs in both.
+    assert_eq!(zero_uniform.kernel(), KernelMode::Packed);
+    assert_eq!(unit_activity.kernel(), KernelMode::Packed128);
+    let delay = DelaySource::new(&c432, PairGenerator::Uniform, DelayModel::Unit);
+    let options = || RunOptions::default().seeded(42);
+    let runs = [
+        ("C432 zero uniform", session.run(&zero_uniform, options())),
+        (
+            "C880 unit activity 0.3",
+            session.run(&unit_activity, options()),
+        ),
+        ("C432 unit delay", session.run(&delay, options())),
+    ];
+    let got: Vec<(&str, u64, usize, usize)> = runs
+        .into_iter()
+        .map(|(name, est)| {
+            let est = est.unwrap_or_else(|e| panic!("{name}: {e}"));
+            (
+                name,
+                est.estimate_mw.to_bits(),
+                est.units_used,
+                est.hyper_samples,
+            )
+        })
+        .collect();
+    let pinned: [(&str, u64, usize, usize); 3] = [
+        ("C432 zero uniform", 0x3fdc_cc3d_3f97_a99b, 600, 2),
+        ("C880 unit activity 0.3", 0x3ff1_7b7f_b195_6608, 600, 2),
+        ("C432 unit delay", 0x4031_d890_6137_0a70, 600, 2),
+    ];
+    assert_eq!(got, pinned, "pinned simulator estimates: {got:#x?}");
+}

@@ -149,15 +149,19 @@ impl PackedEvaluator {
     ///
     /// Panics if the widths disagree or `lane >= B::LANES`.
     pub fn pack_lane<B: Block>(&self, input_words: &mut [B], lane: usize, assignment: &[bool]) {
-        assert_eq!(input_words.len(), self.num_inputs);
-        assert_eq!(assignment.len(), self.num_inputs);
+        assert!(
+            input_words.len() == self.num_inputs && assignment.len() == self.num_inputs,
+            "pack_lane: {} words and {} bits for {} inputs",
+            input_words.len(),
+            assignment.len(),
+            self.num_inputs
+        );
         let mask = B::lane_mask(lane);
+        // Select, not branch: the bits are random, so a branch on each
+        // would mispredict half the time.
         for (w, &bit) in input_words.iter_mut().zip(assignment) {
-            if bit {
-                *w |= mask;
-            } else {
-                *w &= !mask;
-            }
+            let value = if bit { B::ONES } else { B::ZERO };
+            *w = (*w & !mask) | (value & mask);
         }
     }
 

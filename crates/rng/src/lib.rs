@@ -8,6 +8,11 @@
 //! published values, so every committed estimate, report and checkpoint
 //! is reproducible from a seed alone.
 //!
+//! One method extends the subset: [`RngCore::fill_u32`] draws a block of
+//! `next_u32` values. Its default is the `next_u32` loop, so it keeps every
+//! generator's stream; it exists so that a caller holding
+//! `&mut dyn RngCore` pays one dynamic call per block, not per value.
+//!
 //! [`check`] is the seeded case loop the property tests run on.
 
 mod check;
@@ -37,6 +42,18 @@ pub trait RngCore {
         self.fill_bytes(dest);
         Ok(())
     }
+
+    /// Fills `dest` with the next `dest.len()` values of the
+    /// [`RngCore::next_u32`] stream, in order.
+    ///
+    /// Not part of `rand` 0.8. The default is the `next_u32` loop, so every
+    /// generator keeps its stream; through `&mut dyn RngCore` it draws a
+    /// whole block for one dynamic call instead of one per value.
+    fn fill_u32(&mut self, dest: &mut [u32]) {
+        for word in dest {
+            *word = self.next_u32();
+        }
+    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -49,6 +66,9 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
     }
+    fn fill_u32(&mut self, dest: &mut [u32]) {
+        (**self).fill_u32(dest)
+    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for Box<R> {
@@ -60,6 +80,9 @@ impl<R: RngCore + ?Sized> RngCore for Box<R> {
     }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
+    }
+    fn fill_u32(&mut self, dest: &mut [u32]) {
+        (**self).fill_u32(dest)
     }
 }
 

@@ -140,39 +140,65 @@ impl PairGenerator {
     /// Panics if the generator is invalid for `width`; call
     /// [`PairGenerator::validate`] first on untrusted configurations.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, width: usize) -> VectorPair {
+        let mut pair = VectorPair::new(Vec::with_capacity(width), Vec::with_capacity(width));
+        self.generate_into(rng, width, &mut pair);
+        pair
+    }
+
+    /// Draws one vector pair of the given width into `pair`, overwriting
+    /// whatever it held and reusing its buffers. It consumes the same
+    /// stream and draws the same pair as [`PairGenerator::generate`].
+    ///
+    /// Uniform bits come a block at a time through [`RngCore::fill_u32`]
+    /// (bit = the top bit of one `next_u32`, as `gen::<bool>` takes it), so
+    /// a `&mut dyn RngCore` costs one dynamic call per block, not per bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the generator is invalid for `width`; call
+    /// [`PairGenerator::validate`] first on untrusted configurations.
+    ///
+    /// [`RngCore::fill_u32`]: rand::RngCore::fill_u32
+    pub fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, width: usize, pair: &mut VectorPair) {
         if let PairGenerator::HighActivity { min_activity } = self {
             // Rejection sampling over uniform pairs. The acceptance
             // probability at the paper's 0.3 floor is high for any
             // realistic width; the attempt cap below guards pathological
             // configurations (tiny widths with a floor near 1).
             for _ in 0..10_000 {
-                let pair = PairGenerator::Uniform.generate(rng, width);
+                fill_uniform(rng, width, &mut pair.v1);
+                fill_uniform(rng, width, &mut pair.v2);
                 if pair.switching_activity() >= *min_activity {
-                    return pair;
+                    return;
                 }
             }
             // Fall through deterministically: force the floor by flipping
             // exactly ⌈min_activity·width⌉ lines of a uniform vector.
-            let v1: Vec<bool> = (0..width).map(|_| rng.gen()).collect();
+            let VectorPair { v1, v2 } = pair;
+            fill_uniform(rng, width, v1);
             let need = (min_activity * width as f64).ceil() as usize;
-            let mut v2 = v1.clone();
+            v2.clone_from(v1);
             for bit in v2.iter_mut().take(need.min(width)) {
                 *bit = !*bit;
             }
-            return VectorPair::new(v1, v2);
+            return;
         }
-        let v1: Vec<bool> = (0..width).map(|_| rng.gen()).collect();
-        let v2 = match self {
-            PairGenerator::Uniform => (0..width).map(|_| rng.gen()).collect(),
+        let VectorPair { v1, v2 } = pair;
+        fill_uniform(rng, width, v1);
+        match self {
+            PairGenerator::Uniform => fill_uniform(rng, width, v2),
             PairGenerator::HighActivity { .. } => unreachable!("handled above"),
-            PairGenerator::Activity { activity } => flip_lines(rng, &v1, |_| *activity),
+            PairGenerator::Activity { activity } => {
+                v2.clear();
+                v2.extend(v1.iter().map(|&b| b != rng.gen_bool(*activity)));
+            }
             PairGenerator::Spec(spec) => {
                 assert_eq!(
                     spec.line_activity.len(),
                     width,
                     "spec width mismatch; validate() first"
                 );
-                let mut v2 = v1.clone();
+                v2.clone_from(v1);
                 let mut joint_member = vec![false; width];
                 for (group, p) in &spec.joint_groups {
                     let flip = rng.gen_bool(*p);
@@ -188,10 +214,8 @@ impl PairGenerator {
                         *bit = !*bit;
                     }
                 }
-                v2
             }
-        };
-        VectorPair::new(v1, v2)
+        }
     }
 
     /// Draws `count` pairs.
@@ -205,12 +229,23 @@ impl PairGenerator {
     }
 }
 
-/// Flips each line of `v1` with a per-line probability.
-fn flip_lines<R: Rng + ?Sized>(rng: &mut R, v1: &[bool], prob: impl Fn(usize) -> f64) -> Vec<bool> {
-    v1.iter()
-        .enumerate()
-        .map(|(i, &b)| if rng.gen_bool(prob(i)) { !b } else { b })
-        .collect()
+/// `u32`s drawn per [`RngCore::fill_u32`](rand::RngCore::fill_u32) call
+/// when filling uniform bits.
+const BIT_BLOCK: usize = 64;
+
+/// Overwrites `bits` with `width` uniform bits, each the top bit of one
+/// `next_u32` in stream order — the bits `gen::<bool>` would draw one call
+/// at a time.
+fn fill_uniform<R: Rng + ?Sized>(rng: &mut R, width: usize, bits: &mut Vec<bool>) {
+    bits.clear();
+    let mut block = [0u32; BIT_BLOCK];
+    let mut left = width;
+    while left > 0 {
+        let words = &mut block[..left.min(BIT_BLOCK)];
+        rng.fill_u32(words);
+        bits.extend(words.iter().map(|&w| (w as i32) < 0));
+        left -= words.len();
+    }
 }
 
 fn check_prob(what: &'static str, p: f64) -> Result<(), VectorsError> {
@@ -224,7 +259,7 @@ fn check_prob(what: &'static str, p: f64) -> Result<(), VectorsError> {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn mean_activity(gen: &PairGenerator, width: usize, n: usize, seed: u64) -> f64 {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -330,5 +365,96 @@ mod tests {
         let mut r1 = SmallRng::seed_from_u64(9);
         let mut r2 = SmallRng::seed_from_u64(9);
         assert_eq!(gen.generate(&mut r1, 16), gen.generate(&mut r2, 16));
+    }
+
+    /// FNV-1a over the bits of the first 1,000 pairs `gen` draws at
+    /// `width` from seed 1 through `&mut dyn RngCore`, then over the next
+    /// `next_u64` of the stream.
+    fn stream_digest(gen: &PairGenerator, width: usize) -> u64 {
+        let mut small = SmallRng::seed_from_u64(1);
+        let rng: &mut dyn RngCore = &mut small;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for _ in 0..1_000 {
+            let pair = gen.generate(rng, width);
+            for &bit in pair.v1.iter().chain(&pair.v2) {
+                eat(&[u8::from(bit)]);
+            }
+        }
+        eat(&rng.next_u64().to_le_bytes());
+        h
+    }
+
+    #[test]
+    fn generate_matches_pinned_digest() {
+        // Every simulator-driven estimate is a function of these streams:
+        // a changed digest moves every number downstream.
+        let pinned: [(&str, usize, u64); 8] = [
+            ("uniform", 36, 0x4ada9ad67fa2c22a),
+            ("high-activity", 36, 0xdb10c50cfef6b3e4),
+            ("activity", 36, 0x74b8eb785706ab56),
+            ("spec", 36, 0xcafff781d9b7f91a),
+            ("uniform", 41, 0xf14d9c5d993cb7ae),
+            ("high-activity", 41, 0x45f9e5ea30974db2),
+            ("activity", 41, 0x5e5859611eeebb49),
+            ("spec", 41, 0xd89e4fd62767acb6),
+        ];
+        let got: Vec<(&str, usize, u64)> = pinned
+            .iter()
+            .map(|&(name, width, _)| {
+                let mut spec = TransitionSpec::uniform(width, 0.25).unwrap();
+                spec.joint_groups.push((vec![1, 4, 9, 16], 0.4));
+                let gen = match name {
+                    "uniform" => PairGenerator::Uniform,
+                    "high-activity" => PairGenerator::HighActivity { min_activity: 0.3 },
+                    "activity" => PairGenerator::Activity { activity: 0.2 },
+                    _ => PairGenerator::Spec(spec),
+                };
+                (name, width, stream_digest(&gen, width))
+            })
+            .collect();
+        assert_eq!(got, pinned, "pair-stream digests at seed 1: {got:#x?}");
+    }
+
+    #[test]
+    fn generate_into_overwrites_a_reused_pair() {
+        let generators = |width: usize| {
+            let mut spec = TransitionSpec::uniform(width, 0.25).unwrap();
+            spec.joint_groups.push((vec![0, width / 2, width - 1], 0.4));
+            [
+                PairGenerator::Uniform,
+                PairGenerator::HighActivity { min_activity: 0.3 },
+                PairGenerator::Activity { activity: 0.2 },
+                PairGenerator::Spec(spec),
+            ]
+        };
+        let mut draws: Vec<(PairGenerator, usize)> = Vec::new();
+        for width in [41, 36, 8] {
+            for gen in generators(width) {
+                draws.push((gen.clone(), width));
+                draws.push((gen, width));
+            }
+        }
+        // A floor of 1.0 at width 64 always exhausts the rejection loop
+        // and takes the deterministic fallback; narrower draws follow it.
+        draws.push((PairGenerator::HighActivity { min_activity: 1.0 }, 64));
+        draws.push((PairGenerator::Uniform, 8));
+        draws.push((PairGenerator::Activity { activity: 0.2 }, 36));
+
+        let mut fresh = SmallRng::seed_from_u64(12);
+        let mut reused = SmallRng::seed_from_u64(12);
+        let mut pair = VectorPair::default();
+        for (gen, width) in &draws {
+            let expected = gen.generate(&mut fresh, *width);
+            gen.generate_into(&mut reused as &mut dyn RngCore, *width, &mut pair);
+            assert_eq!(pair, expected, "{gen:?} at width {width}");
+            assert_eq!(pair.width(), *width);
+        }
+        assert_eq!(reused, fresh, "the generators ended in different states");
     }
 }

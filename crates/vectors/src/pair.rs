@@ -2,7 +2,11 @@
 
 /// An input vector pair `(v1, v2)`: the circuit settles at `v1`, then `v2`
 /// is applied for the measured cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The default is the empty pair, a buffer for
+/// [`PairGenerator::generate_into`](crate::PairGenerator::generate_into)
+/// to fill.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct VectorPair {
     /// The settling vector.
     pub v1: Vec<bool>,
