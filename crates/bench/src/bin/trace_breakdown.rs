@@ -262,12 +262,12 @@ const REPETITIONS: usize = 3;
 /// scalar kernel bit-for-bit. Returns the seconds taken and the check.
 fn time_packed<B: mpe_netlist::Block>(
     packed: &PackedSimulator<B>,
-    refs: &[(&[bool], &[bool])],
+    pairs: &[VectorPair],
     scalar_reports: &[CycleReport],
 ) -> Result<(f64, bool), Box<dyn std::error::Error>> {
-    let mut out = Vec::with_capacity(refs.len());
+    let mut out = Vec::with_capacity(pairs.len());
     let started = Instant::now();
-    packed.cycle_reports_batch(refs, &mut out)?;
+    packed.cycle_reports_batch(pairs, &mut out)?;
     let elapsed = started.elapsed().as_secs_f64();
     let identical = scalar_reports.len() == out.len()
         && scalar_reports.iter().zip(&out).all(|(s, p)| {
@@ -300,7 +300,6 @@ fn run_kernel_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>> {
             let pairs: Vec<VectorPair> = (0..KERNEL_PAIRS)
                 .map(|_| PairGenerator::Uniform.generate(&mut rng, circuit.num_inputs()))
                 .collect();
-            let refs: Vec<(&[bool], &[bool])> = pairs.iter().map(VectorPair::as_slices).collect();
             let packed64: PackedSimulator<u64> = PackedSimulator::new(&sim);
             let packed128: PackedSimulator<u128> = PackedSimulator::new(&sim);
 
@@ -316,8 +315,8 @@ fn run_kernel_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>> {
                     .collect::<Result<_, _>>()?;
                 best[0] = best[0].min(started.elapsed().as_secs_f64());
                 let timings = [
-                    time_packed(&packed64, &refs, &scalar_reports)?,
-                    time_packed(&packed128, &refs, &scalar_reports)?,
+                    time_packed(&packed64, &pairs, &scalar_reports)?,
+                    time_packed(&packed128, &pairs, &scalar_reports)?,
                 ];
                 for (i, (seconds, same)) in timings.into_iter().enumerate() {
                     best[i + 1] = best[i + 1].min(seconds);

@@ -162,8 +162,8 @@ fn main() -> ExitCode {
 }
 
 /// Dispatches and classifies every failure as an [`AppError`]: flag-parse
-/// and spec mistakes exit 2, unsupported combinations exit 3, runtime
-/// failures exit 1 — the exact codes `FailureKind::exit_code` defines.
+/// and spec mistakes exit 2, runtime failures exit 1 — the exact codes
+/// `FailureKind::exit_code` defines.
 fn run(args: &[String]) -> Result<(), AppError> {
     let Some(command) = args.first() else {
         eprintln!("{HELP}");
@@ -197,9 +197,8 @@ fn run(args: &[String]) -> Result<(), AppError> {
         AppError::usage(msg)
     })?;
     // The spec is checked by the validation `POST /jobs` runs, before any
-    // circuit is built or simulated: unsupported metric/kernel
-    // combinations exit 3, out-of-domain parameters 2 — both distinct
-    // from runtime failures (1).
+    // circuit is built or simulated: out-of-domain parameters exit 2,
+    // distinct from runtime failures (1).
     if matches!(command.as_str(), "estimate" | "delay" | "average") {
         flags.spec.validate_parameters()?;
     }

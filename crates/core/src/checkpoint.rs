@@ -341,8 +341,9 @@ impl Decode for Checkpoint {
 }
 
 /// FNV-1a over a byte stream (the shared primitive behind
-/// [`config_fingerprint`] and [`Checkpoint::payload_checksum`]).
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+/// [`config_fingerprint`], [`Checkpoint::payload_checksum`] and the
+/// daemon's key for inline netlists): cheap and dependency-free.
+pub(crate) fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in bytes {
         hash ^= byte as u64;

@@ -202,18 +202,14 @@ impl From<StatsError> for MaxPowerError {
 /// The CLI maps a kind to its process exit code and the HTTP server maps
 /// the *same* kind to a status line, so a given failure is reported
 /// consistently no matter how the engine was invoked. The exit codes are
-/// the ones the CLI has always used (2 = bad invocation, 3 = unsupported
-/// combination, 1 = everything else); `NotFound` and `Busy` only arise
-/// over HTTP but still carry a CLI mapping for completeness.
+/// 2 for a bad invocation and 1 for everything else; `NotFound` and `Busy`
+/// only arise over HTTP but still carry a CLI mapping for completeness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
     /// The request itself was malformed: unknown flag, unparseable value,
     /// invalid configuration. Retrying without changing the request cannot
     /// succeed.
     Usage,
-    /// The request was well-formed but asks for a combination this build
-    /// does not support (e.g. a packed kernel under the delay metric).
-    Unsupported,
     /// The referenced resource (a job id) does not exist.
     NotFound,
     /// The server is at capacity; the request was rejected before any work
@@ -228,7 +224,6 @@ impl FailureKind {
     pub fn exit_code(self) -> u8 {
         match self {
             FailureKind::Usage => 2,
-            FailureKind::Unsupported => 3,
             FailureKind::NotFound | FailureKind::Busy | FailureKind::Runtime => 1,
         }
     }
@@ -237,7 +232,6 @@ impl FailureKind {
     pub fn http_status(self) -> (u16, &'static str) {
         match self {
             FailureKind::Usage => (400, "Bad Request"),
-            FailureKind::Unsupported => (422, "Unprocessable Entity"),
             FailureKind::NotFound => (404, "Not Found"),
             FailureKind::Busy => (429, "Too Many Requests"),
             FailureKind::Runtime => (500, "Internal Server Error"),
@@ -248,7 +242,6 @@ impl FailureKind {
     pub fn label(self) -> &'static str {
         match self {
             FailureKind::Usage => "usage",
-            FailureKind::Unsupported => "unsupported",
             FailureKind::NotFound => "not_found",
             FailureKind::Busy => "busy",
             FailureKind::Runtime => "runtime",
@@ -275,14 +268,6 @@ impl AppError {
     pub fn usage(message: impl Into<String>) -> Self {
         AppError {
             kind: FailureKind::Usage,
-            message: message.into(),
-        }
-    }
-
-    /// A [`FailureKind::Unsupported`] error.
-    pub fn unsupported(message: impl Into<String>) -> Self {
-        AppError {
-            kind: FailureKind::Unsupported,
             message: message.into(),
         }
     }
@@ -410,10 +395,8 @@ mod tests {
     #[test]
     fn failure_kinds_map_to_stable_exit_codes_and_statuses() {
         assert_eq!(FailureKind::Usage.exit_code(), 2);
-        assert_eq!(FailureKind::Unsupported.exit_code(), 3);
         assert_eq!(FailureKind::Runtime.exit_code(), 1);
         assert_eq!(FailureKind::Usage.http_status().0, 400);
-        assert_eq!(FailureKind::Unsupported.http_status().0, 422);
         assert_eq!(FailureKind::NotFound.http_status().0, 404);
         assert_eq!(FailureKind::Busy.http_status().0, 429);
         assert_eq!(FailureKind::Runtime.http_status().0, 500);

@@ -2,8 +2,8 @@
 //!
 //! `mpe estimate`/`mpe delay` parse their flags into a [`JobSpec`] and
 //! `POST /jobs` parses its body into one; both then call [`execute`],
-//! which builds the session and the power or delay source, runs it under
-//! the front's supervision and assembles the [`EstimateReport`]. A served
+//! which builds the session and one simulator source (reading power or
+//! settle time), runs it under the front's supervision and assembles the [`EstimateReport`]. A served
 //! report is therefore byte-identical to the CLI's for the same spec by
 //! construction, up to what each front adds afterwards (the CLI's
 //! telemetry block, the daemon's job provenance and the volatile
@@ -13,11 +13,10 @@ use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use mpe_netlist::Circuit;
-use mpe_sim::{KernelMode, PowerConfig};
+use mpe_sim::PowerConfig;
 use mpe_telemetry::Telemetry;
 
 use crate::checkpoint::{Checkpoint, CheckpointWriter};
-use crate::delay::DelaySource;
 use crate::error::MaxPowerError;
 use crate::estimator::MaxPowerEstimate;
 use crate::report::EstimateReport;
@@ -79,29 +78,19 @@ pub fn execute(
         .telemetry(hooks.telemetry.clone())
         .build();
     let started = Instant::now();
-    let ((estimate, checkpoint_error), metric, kernel) = match spec.metric {
-        Metric::Power => {
-            let source =
-                SimulatorSource::new(circuit, generator, spec.delay_model, PowerConfig::default())
-                    .with_kernel(spec.kernel);
-            let kernel = source.kernel();
-            (
-                run(&session, &source, spec, &hooks)?,
-                "max_power_mw",
-                kernel,
-            )
-        }
-        // The delay source is always scalar; validation rejects a packed
-        // kernel for this metric.
-        Metric::Delay => {
-            let source = DelaySource::new(circuit, generator, spec.delay_model);
-            (
-                run(&session, &source, spec, &hooks)?,
-                "max_delay_units",
-                KernelMode::Scalar,
-            )
-        }
+    let (source, metric) = match spec.metric {
+        Metric::Power => (
+            SimulatorSource::new(circuit, generator, spec.delay_model, PowerConfig::default()),
+            "max_power_mw",
+        ),
+        Metric::Delay => (
+            SimulatorSource::settle_time(circuit, generator, spec.delay_model),
+            "max_delay_units",
+        ),
     };
+    let source = source.with_kernel(spec.kernel);
+    let kernel = source.kernel();
+    let (estimate, checkpoint_error) = run(&session, &source, spec, &hooks)?;
     let wall_ms = 1e3 * started.elapsed().as_secs_f64();
     // The run span's `span_end` is emitted as the estimator returns;
     // flushing makes every sink complete before the report is assembled.

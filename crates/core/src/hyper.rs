@@ -38,6 +38,7 @@ use mpe_mle::profile::{fit_reversed_weibull, fit_reversed_weibull_traced, Weibul
 use mpe_mle::MleError;
 use mpe_telemetry::{names, SpanKind, Telemetry};
 
+use mpe_stats::descriptive::quantile;
 use mpe_stats::dist::ContinuousDistribution;
 use mpe_stats::ks::ks_statistic;
 
@@ -519,14 +520,17 @@ fn degraded_hyper_sample(
             }
         }
     }
-    // Rung 3: empirical quantile at the finite-population level (or the
-    // sample maximum for an infinite population). No extrapolation beyond
-    // the data — a pure lower bound, but always defined.
+    // Rung 3: type-7 empirical quantile at the finite-population level (or
+    // the sample maximum for an infinite population), the quantile
+    // baseline's convention. No extrapolation beyond the data — a pure
+    // lower bound, but always defined.
     let q = match config.finite_population {
         Some(v) => 1.0 - 1.0 / v as f64,
         None => 1.0,
     };
-    let estimate_mw = empirical_quantile(&all_draws, q).max(observed_max);
+    let estimate_mw = quantile(&all_draws, q.clamp(0.0, 1.0))
+        .expect("the fallback runs on a non-empty draw set")
+        .max(observed_max);
     HyperSample {
         estimate_mw,
         estimator: EstimatorKind::Quantile,
@@ -543,17 +547,6 @@ fn degraded_hyper_sample(
             tail_shape: None,
         },
     }
-}
-
-/// Type-7 interpolated empirical quantile (the same convention as the
-/// quantile-baseline estimator). `data` must be non-empty and finite.
-fn empirical_quantile(data: &[f64], q: f64) -> f64 {
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("valid readings are finite"));
-    let h = q.clamp(0.0, 1.0) * (sorted.len() as f64 - 1.0);
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
 }
 
 /// The point estimate implied by a fit under the configuration's
@@ -917,14 +910,5 @@ mod tests {
         {
             assert!(h.estimate_mw >= h.observed_max);
         }
-    }
-
-    #[test]
-    fn empirical_quantile_matches_convention() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(empirical_quantile(&data, 0.0), 1.0);
-        assert_eq!(empirical_quantile(&data, 0.5), 3.0);
-        assert_eq!(empirical_quantile(&data, 1.0), 5.0);
-        assert_eq!(empirical_quantile(&data, 0.25), 2.0);
     }
 }

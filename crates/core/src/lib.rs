@@ -72,7 +72,6 @@
 pub mod average;
 pub mod checkpoint;
 pub mod config;
-pub mod delay;
 pub(crate) mod engine;
 pub mod error;
 pub mod estimator;
@@ -92,7 +91,6 @@ pub mod sweep;
 pub use average::{estimate_average_power, AveragePowerEstimate};
 pub use checkpoint::{config_fingerprint, Checkpoint, CheckpointHistoryEntry, CHECKPOINT_VERSION};
 pub use config::{BiasCorrection, EstimationConfig, FallbackPolicy, SamplePolicy};
-pub use delay::DelaySource;
 pub use error::{AppError, FailureKind, MaxPowerError};
 pub use estimator::{EstimateHistoryEntry, MaxPowerEstimate};
 pub use execute::{execute, Execution, Hooks};

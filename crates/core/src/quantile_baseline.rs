@@ -12,6 +12,7 @@
 
 use rand::RngCore;
 
+use mpe_stats::descriptive::quantile;
 use mpe_stats::dist::{ContinuousDistribution, Normal};
 
 use crate::error::MaxPowerError;
@@ -71,14 +72,10 @@ pub fn quantile_baseline_estimate(
     for _ in 0..units {
         sample.push(source.sample(rng)?);
     }
+    // Point estimate: type-7 interpolated quantile.
+    let estimate = quantile(&sample, q).map_err(MaxPowerError::from)?;
     sample.sort_by(|a, b| a.partial_cmp(b).expect("finite powers"));
     let n = units as f64;
-
-    // Point estimate: type-7 interpolated quantile.
-    let h = q * (n - 1.0);
-    let lo_idx = h.floor() as usize;
-    let hi_idx = h.ceil() as usize;
-    let estimate = sample[lo_idx] + (h - lo_idx as f64) * (sample[hi_idx] - sample[lo_idx]);
 
     // Distribution-free CI via the binomial normal approximation.
     let z = Normal::standard()

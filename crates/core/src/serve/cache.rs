@@ -14,20 +14,8 @@ use std::sync::{Arc, Mutex};
 
 use mpe_netlist::{bench_format, generate, Circuit, Iscas85};
 
+use crate::checkpoint::fnv1a;
 use crate::error::AppError;
-
-/// FNV-1a over the inline netlist text: cheap, dependency-free, and a
-/// 64-bit digest is plenty for a cache that also keys on the subject
-/// name (a collision costs a wrong cache hit on attacker-supplied text;
-/// this daemon trusts its submitters — see DESIGN §12).
-fn fnv1a(text: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// How a job names its circuit, normalised to a cache key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -43,7 +31,10 @@ pub enum CircuitRef {
     Bench {
         /// Subject name used in the report (the CLI uses the file stem).
         name: String,
-        /// Content digest of the netlist text.
+        /// FNV-1a digest of the netlist text: plenty for a cache that also
+        /// keys on the subject name (a collision costs a wrong cache hit
+        /// on attacker-supplied text; this daemon trusts its submitters —
+        /// see DESIGN §12).
         digest: u64,
     },
 }
@@ -90,7 +81,7 @@ impl CircuitCache {
     pub fn bench(&self, name: &str, text: &str) -> Result<Arc<Circuit>, AppError> {
         let key = CircuitRef::Bench {
             name: name.to_string(),
-            digest: fnv1a(text),
+            digest: fnv1a(text.bytes()),
         };
         self.get_or_build(key, || {
             bench_format::parse(text, name)

@@ -113,9 +113,7 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Usage-class [`AppError`]s naming the offending field;
-    /// unsupported-class for kernel/metric combinations no kernel
-    /// implements.
+    /// Usage-class [`AppError`]s naming the offending field.
     pub fn from_json(doc: &Json) -> Result<JobSpec, AppError> {
         const KNOWN: [&str; 14] = [
             "circuit",
@@ -256,19 +254,8 @@ impl JobSpec {
     ///
     /// Usage-class for an invalid activity or an estimation parameter
     /// (`epsilon`, `confidence`, `population`) outside
-    /// [`EstimationConfig::validate`]'s domain; unsupported-class for the
-    /// delay-metric/packed-kernel combination.
+    /// [`EstimationConfig::validate`]'s domain.
     pub fn validate_parameters(&self) -> Result<(), AppError> {
-        if self.metric == Metric::Delay
-            && matches!(self.kernel, KernelMode::Packed | KernelMode::Packed128)
-        {
-            return Err(AppError::unsupported(format!(
-                "the delay metric is measured on the scalar event engine; \
-                 `--kernel {}` applies to power estimation only \
-                 (drop the flag or use `--kernel auto`)",
-                self.kernel
-            )));
-        }
         self.estimation_config()
             .validate()
             .map_err(|e| AppError::usage(e.to_string()))?;
@@ -601,7 +588,7 @@ impl JobEngine {
     ///
     /// # Errors
     ///
-    /// Usage/unsupported-class for an invalid spec, busy-class (HTTP
+    /// Usage-class for an invalid spec, busy-class (HTTP
     /// 429) when the queue is at capacity, runtime-class when the spool
     /// cannot persist the spec or the engine is shutting down.
     pub fn submit(&self, spec: JobSpec) -> Result<Arc<Job>, AppError> {
@@ -1067,11 +1054,18 @@ mod tests {
     }
 
     #[test]
-    fn delay_metric_with_packed_kernel_is_unsupported() {
-        let err = spec_from(r#"{"circuit":"C432","metric":"delay","kernel":"packed"}"#)
-            .expect_err("combination rejected");
-        assert_eq!(err.kind.http_status().0, 422);
-        assert!(err.to_string().contains("delay metric"));
+    fn delay_metric_accepts_every_kernel() {
+        for kernel in ["auto", "scalar", "packed", "packed128"] {
+            let body = format!(r#"{{"circuit":"C432","metric":"delay","kernel":"{kernel}"}}"#);
+            let spec = spec_from(&body).expect("delay spec parses");
+            assert_eq!(spec.metric, Metric::Delay);
+            assert_eq!(
+                spec.kernel,
+                KernelMode::parse(kernel).expect("known kernel")
+            );
+            spec.validate()
+                .expect("every kernel serves the delay metric");
+        }
     }
 
     #[test]

@@ -499,13 +499,9 @@ mod tests {
         let (status, body) = request(addr, "POST /jobs", "not json");
         assert_eq!(status, 400);
         assert!(body.contains("\"kind\":\"usage\""), "{body}");
-        let (status, body) = request(
-            addr,
-            "POST /jobs",
-            r#"{"circuit":"C432","metric":"delay","kernel":"packed"}"#,
-        );
-        assert_eq!(status, 422);
-        assert!(body.contains("delay metric"), "{body}");
+        let (status, body) = request(addr, "POST /jobs", r#"{"circuit":"C432","epsilon":2}"#);
+        assert_eq!(status, 400);
+        assert!(body.contains("relative_error"), "{body}");
         let (status, _) = request(addr, "GET /nope", "");
         assert_eq!(status, 404);
         let (status, _) = request(addr, "GET /jobs/j999999", "");

@@ -6,7 +6,8 @@
 //! * [`SimulatorSource`] — draws a fresh vector pair from a
 //!   [`PairGenerator`] and simulates it on demand. This is the *real*
 //!   deployment mode: no pre-simulation, the estimator drives the simulator
-//!   directly (the paper's Figure 4 flow).
+//!   directly (the paper's Figure 4 flow). Its reading is the pair's cycle
+//!   power or, through [`SimulatorSource::settle_time`], its settle time.
 //! * [`PopulationSource`] — samples (with replacement) from a pre-simulated
 //!   [`Population`]; the paper's experimental setup, where the ground truth
 //!   is known and estimates can be scored.
@@ -19,7 +20,10 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
 use mpe_netlist::Circuit;
-use mpe_sim::{CycleReport, DelayModel, KernelMode, PackedSimulator, PowerConfig, PowerSimulator};
+use mpe_sim::{
+    CycleReport, DelayModel, KernelMode, PackedSimulator, PopulationPair, PowerConfig,
+    PowerSimulator,
+};
 use mpe_vectors::{PairGenerator, Population, VectorPair};
 
 use crate::error::MaxPowerError;
@@ -74,8 +78,7 @@ pub trait PowerSource {
     /// Stateless sources ignore this (the default). Sources carrying their
     /// own randomness (e.g. fault injectors) reseed from `k` here so their
     /// auxiliary streams depend only on the hyper-sample index, keeping
-    /// runs bit-identical for any worker count. The legacy caller-RNG
-    /// stream mode never calls this hook.
+    /// runs bit-identical for any worker count.
     fn begin_hyper_sample(&mut self, _k: u64) {}
 
     /// How many upcoming hyper-sample indices this source wants announced
@@ -184,18 +187,130 @@ enum PackedKernel {
     Lanes128(PackedSimulator<u128>),
 }
 
+impl PackedKernel {
+    /// The lane width (`None` for scalar).
+    fn lanes(&self) -> Option<usize> {
+        match self {
+            PackedKernel::Lanes64(_) => Some(64),
+            PackedKernel::Lanes128(_) => Some(128),
+            PackedKernel::Scalar => None,
+        }
+    }
+
+    /// Settles `pairs` in word-level sweeps, appending one report per pair.
+    fn sweep<P: PopulationPair>(
+        &self,
+        pairs: &[P],
+        out: &mut Vec<CycleReport>,
+    ) -> Result<(), MaxPowerError> {
+        match self {
+            PackedKernel::Lanes64(packed) => packed.cycle_reports_batch(pairs, out),
+            PackedKernel::Lanes128(packed) => packed.cycle_reports_batch(pairs, out),
+            PackedKernel::Scalar => unreachable!("the scalar kernel has no sweep"),
+        }
+        .map_err(MaxPowerError::from)
+    }
+}
+
+/// What a [`SimulatorSource`] reads off a simulated pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reading {
+    /// Cycle power in mW (the paper's metric).
+    Power,
+    /// Settle time in delay units, plus a dither in `[0, 1]` drawn right
+    /// after the pair (see [`SimulatorSource::settle_time`]).
+    SettleTime,
+}
+
+/// One reading's randomness: its vector pair and, for the settle-time
+/// reading, the dither drawn after it.
+#[derive(Debug, Clone, Default)]
+struct Draw {
+    pair: VectorPair,
+    dither: f64,
+}
+
+impl PopulationPair for Draw {
+    fn before(&self) -> &[bool] {
+        &self.pair.v1
+    }
+
+    fn after(&self) -> &[bool] {
+        &self.pair.v2
+    }
+}
+
+/// How a [`SimulatorSource`] draws a reading's randomness and reads the
+/// simulated pair.
+#[derive(Debug, Clone)]
+struct Sampler {
+    generator: PairGenerator,
+    width: usize,
+    reading: Reading,
+}
+
+impl Sampler {
+    /// Overwrites `draw` with the next reading's randomness from `rng`:
+    /// the pair, then, for the settle-time reading, four bytes of dither.
+    /// Every path (scalar, packed, prefetch, banked re-draw) draws in this
+    /// one order, so they all walk the same stream.
+    fn draw<R: RngCore + ?Sized>(&self, rng: &mut R, draw: &mut Draw) {
+        self.generator
+            .generate_into(rng, self.width, &mut draw.pair);
+        if self.reading == Reading::SettleTime {
+            let mut bytes = [0u8; 4];
+            rng.fill_bytes(&mut bytes);
+            draw.dither = u32::from_le_bytes(bytes) as f64 / u32::MAX as f64;
+        }
+    }
+
+    /// Draws `count` readings' randomness into `draws[used..used + count]`
+    /// and returns the new used count. The draws already there are
+    /// overwritten in place, so a buffer that is reused across batches
+    /// stops allocating once it has reached its high-water mark.
+    fn draw_many<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        draws: &mut Vec<Draw>,
+        used: usize,
+        count: usize,
+    ) -> usize {
+        let end = used + count;
+        if draws.len() < end {
+            draws.resize_with(end, Draw::default);
+        }
+        for draw in &mut draws[used..end] {
+            self.draw(rng, draw);
+        }
+        end
+    }
+
+    /// The reading of a simulated pair.
+    fn read(&self, report: &CycleReport, draw: &Draw) -> f64 {
+        match self.reading {
+            Reading::Power => report.power_mw,
+            // Jitter-free discrete metrics stall the continuous-distribution
+            // machinery (ties make sample maxima degenerate); dithering
+            // within one time quantum preserves the ordering and the
+            // endpoint while restoring continuity, as measurement noise
+            // does in real silicon delay data.
+            Reading::SettleTime => report.settle_time as f64 + draw.dither,
+        }
+    }
+}
+
 /// Speculative prefetch state for one announced hyper-sample `k`.
 ///
 /// The plan's RNG is seeded exactly like the private stream the engine
 /// will hand `k`'s generation (`derive_seed(master_seed, k)`), and the
-/// generator is deterministic, so the i-th pair drawn here *is* the i-th
-/// pair `k` would draw itself — which is what makes serving cached
-/// readings bit-identical to simulating on demand.
+/// generator is deterministic, so the i-th draw here *is* the i-th draw
+/// `k` would make itself — which is what makes serving cached readings
+/// bit-identical to simulating on demand.
 #[derive(Debug, Clone)]
 struct LanePlan {
     k: u64,
-    /// Shadow of `k`'s derived stream, advanced one `generate` per
-    /// prefetched reading.
+    /// Shadow of `k`'s derived stream, advanced one draw per prefetched
+    /// reading.
     rng: SmallRng,
     /// Prefetched readings, in draw order.
     cache: VecDeque<f64>,
@@ -289,20 +404,24 @@ impl LaneBatcher {
 
 /// On-demand simulation source: generator + simulator, no pre-computation.
 ///
-/// Supports the scalar per-pair engine and the bit-parallel
-/// [`PackedSimulator`] in both lane widths (see [`KernelMode`]), which
+/// Each reading is one fresh vector pair, simulated: its cycle power
+/// ([`SimulatorSource::new`]) or its settle time
+/// ([`SimulatorSource::settle_time`]). Both readings run on the scalar
+/// per-pair engine and on the bit-parallel [`PackedSimulator`] in both
+/// lane widths (see [`KernelMode`]), which
 /// [`SimulatorSource::sample_batch`] uses to settle up to 64 or 128 pairs
 /// per word-level sweep — under *every* delay model, timing included. All
-/// kernels produce the scalar kernel's capacitance sums bit for bit (an
-/// exact integer sum for whole-number capacitances, the scalar addition
-/// order otherwise), so their readings are bit-identical; batching draws
-/// all the batch's vector pairs from the RNG *before* simulating (the
-/// simulator consumes no randomness), so the RNG stream is identical too.
-/// Kernel choice therefore never changes an estimate, only its cost.
+/// kernels report the scalar kernel's capacitance sums and settle times
+/// bit for bit (an exact integer sum for whole-number capacitances, the
+/// scalar addition order otherwise), so their readings are bit-identical;
+/// batching draws all the batch's randomness from the RNG *before*
+/// simulating (the simulator consumes none), so the RNG stream is
+/// identical too. Kernel choice therefore never changes an estimate, only
+/// its cost.
 ///
 /// Pairs are drawn with [`PairGenerator::generate_into`] into buffers the
-/// source keeps: the batch path overwrites its pair buffer in place, and
-/// the scalar path and the banked re-draws overwrite one scratch pair, so
+/// source keeps: the batch path overwrites its draw buffer in place, and
+/// the scalar path and the banked re-draws overwrite one scratch draw, so
 /// a steady-state draw allocates no pair. Uniform bits reach the generator
 /// a block at a time through [`RngCore::fill_u32`], one dynamic call per
 /// block of the caller's `&mut dyn RngCore` rather than one per bit. On a
@@ -311,15 +430,14 @@ impl LaneBatcher {
 #[derive(Debug, Clone)]
 pub struct SimulatorSource<'c> {
     simulator: PowerSimulator<'c>,
-    generator: PairGenerator,
-    width: usize,
+    sampler: Sampler,
     simulated: u64,
     packed: PackedKernel,
-    /// Pairs of the current sweep, overwritten in place batch after batch
-    /// (see [`draw_pairs`]).
-    pair_buf: Vec<VectorPair>,
-    /// The one pair the scalar path and banked re-draws overwrite.
-    scratch_pair: VectorPair,
+    /// Draws of the current sweep, overwritten in place batch after batch
+    /// (see [`Sampler::draw_many`]).
+    draws: Vec<Draw>,
+    /// The one draw the scalar path and banked re-draws overwrite.
+    scratch: Draw,
     report_buf: Vec<CycleReport>,
     batcher: Option<LaneBatcher>,
     single_buf: Vec<f64>,
@@ -327,24 +445,87 @@ pub struct SimulatorSource<'c> {
 
 impl<'c> SimulatorSource<'c> {
     /// Creates a source that simulates fresh pairs from `generator` on the
-    /// given circuit, with [`KernelMode::Auto`] kernel selection (the
-    /// 128-lane packed kernel for unit delay, 64 lanes otherwise).
+    /// given circuit and reads their cycle power, with
+    /// [`KernelMode::Auto`] kernel selection (the 128-lane packed kernel
+    /// for unit delay, 64 lanes otherwise).
     pub fn new(
         circuit: &'c Circuit,
         generator: PairGenerator,
         delay: DelayModel,
         config: PowerConfig,
     ) -> Self {
+        Self::from_reading(circuit, generator, delay, config, Reading::Power)
+    }
+
+    /// Creates a source whose reading is the circuit's settle time (in
+    /// delay units) for a random vector pair: maximum circuit delay
+    /// estimation, the extension the paper's conclusion proposes ("for
+    /// example, longest path delay estimation").
+    ///
+    /// The settle time of a pair — how long the event-driven simulation
+    /// takes to quiesce after the second vector is applied — is, like
+    /// cycle power, a bounded random variable over the vector-pair space.
+    /// Its right endpoint is the circuit's *exercisable* critical delay
+    /// (the static topological critical path is an upper bound that false
+    /// paths may make unreachable), so the unchanged estimator estimates
+    /// it. Each reading is the settle time plus a dither in `[0, 1]`, drawn
+    /// from the same stream right after its pair: a discrete metric's ties
+    /// would make sample maxima degenerate. Kernel selection is as for
+    /// [`SimulatorSource::new`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use maxpower::{EstimationConfig, EstimatorBuilder, RunOptions, SimulatorSource};
+    /// use mpe_netlist::{generate, Iscas85};
+    /// use mpe_sim::DelayModel;
+    /// use mpe_vectors::PairGenerator;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let circuit = generate(Iscas85::C432, 7)?;
+    /// let source = SimulatorSource::settle_time(&circuit, PairGenerator::Uniform, DelayModel::Unit);
+    /// let config = EstimationConfig {
+    ///     finite_population: Some(100_000),
+    ///     max_hyper_samples: 500,
+    ///     ..EstimationConfig::default()
+    /// };
+    /// let session = EstimatorBuilder::new(config).build();
+    /// let estimate = session.run(&source, RunOptions::default().seeded(1))?;
+    /// // Under the unit-delay model the settle time is bounded by the depth.
+    /// assert!(estimate.estimate_mw <= circuit.depth() as f64 + 1.0);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn settle_time(circuit: &'c Circuit, generator: PairGenerator, delay: DelayModel) -> Self {
+        Self::from_reading(
+            circuit,
+            generator,
+            delay,
+            PowerConfig::default(),
+            Reading::SettleTime,
+        )
+    }
+
+    fn from_reading(
+        circuit: &'c Circuit,
+        generator: PairGenerator,
+        delay: DelayModel,
+        config: PowerConfig,
+        reading: Reading,
+    ) -> Self {
         let simulator = PowerSimulator::new(circuit, delay, config);
         let packed = Self::build_kernel(&simulator, KernelMode::Auto);
         SimulatorSource {
             simulator,
-            width: circuit.num_inputs(),
-            generator,
+            sampler: Sampler {
+                generator,
+                width: circuit.num_inputs(),
+                reading,
+            },
             simulated: 0,
             packed,
-            pair_buf: Vec::new(),
-            scratch_pair: VectorPair::default(),
+            draws: Vec::new(),
+            scratch: Draw::default(),
             report_buf: Vec::new(),
             batcher: None,
             single_buf: Vec::new(),
@@ -360,7 +541,7 @@ impl<'c> SimulatorSource<'c> {
     }
 
     /// Selects the simulation kernel. Every [`KernelMode`] is valid for
-    /// every delay model.
+    /// every delay model and both readings.
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
         // The kernel in place is kept when it is the one asked for:
@@ -390,128 +571,106 @@ impl<'c> SimulatorSource<'c> {
         self.simulated
     }
 
-    /// The lane width of the resolved kernel (`None` for scalar).
-    fn lane_width(&self) -> Option<usize> {
-        match self.packed {
-            PackedKernel::Lanes64(_) => Some(64),
-            PackedKernel::Lanes128(_) => Some(128),
-            PackedKernel::Scalar => None,
-        }
-    }
-
-    /// The lane-batched fill: serves banked readings first (advancing the
+    /// The packed fill: serves banked readings first (advancing the
     /// caller's RNG exactly as fresh draws would), then settles the
-    /// remainder in word-level sweeps whose spare lanes carry prefetch for
-    /// the announced future hyper-samples.
+    /// remainder in word-level sweeps. Once hyper-samples are announced,
+    /// the spare lanes of the final word carry prefetch for them; before
+    /// that, nothing is banked or planned and the sweep holds the
+    /// caller's pairs alone.
     fn batched_fill(
         &mut self,
         rng: &mut dyn RngCore,
         count: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), MaxPowerError> {
-        let width = self.width;
         let lanes = self
-            .lane_width()
+            .packed
+            .lanes()
             .expect("batched_fill requires a packed kernel");
-        let batcher = self
-            .batcher
-            .as_mut()
-            .expect("batched_fill requires announced hyper-samples");
-        let depth = batcher.depth;
+        let mut batcher = self.batcher.as_mut();
 
         // 1. Serve banked readings. Each replaces exactly one
-        // generate+simulate, so the caller's RNG advances by one generate
-        // per reading (into a scratch pair that is then dropped) to stay
-        // on the canonical per-k stream.
-        let served = batcher.active.len().min(count);
-        for _ in 0..served {
-            self.generator
-                .generate_into(rng, width, &mut self.scratch_pair);
-            let reading = batcher.active.pop_front().expect("length checked");
-            out.push(reading);
+        // draw+simulate, so the caller's RNG advances by one draw per
+        // reading (into a scratch draw that is then dropped) to stay on
+        // the canonical per-k stream.
+        let mut served = 0;
+        if let Some(batcher) = batcher.as_deref_mut() {
+            served = batcher.active.len().min(count);
+            for reading in batcher.active.drain(..served) {
+                self.sampler.draw(rng, &mut self.scratch);
+                out.push(reading);
+            }
         }
         let fresh = count - served;
         if fresh == 0 {
             return Ok(());
         }
 
-        // 2. The current hyper-sample's remaining pairs...
-        let mut used = draw_pairs(&self.generator, rng, width, &mut self.pair_buf, 0, fresh);
-        // 3. ...padded to a full final word with pairs prefetched for the
-        // pending hyper-samples, each drawn from its own shadow stream.
-        let spare = (lanes - used % lanes) % lanes;
+        // 2. The current hyper-sample's remaining draws...
+        let mut used = self.sampler.draw_many(rng, &mut self.draws, 0, fresh);
+        // 3. ...padded to a full final word with draws prefetched for the
+        // pending hyper-samples, each from its own shadow stream.
         let mut filler: Vec<(usize, usize)> = Vec::new();
-        let mut padded = 0usize;
-        for (idx, plan) in batcher.plans.iter_mut().enumerate() {
-            if padded == spare {
-                break;
+        if let Some(batcher) = batcher.as_deref_mut() {
+            let spare = (lanes - used % lanes) % lanes;
+            let mut padded = 0usize;
+            for (idx, plan) in batcher.plans.iter_mut().enumerate() {
+                if padded == spare {
+                    break;
+                }
+                let take = batcher
+                    .depth
+                    .saturating_sub(plan.prefetched)
+                    .min(spare - padded);
+                if take == 0 {
+                    continue;
+                }
+                used = self
+                    .sampler
+                    .draw_many(&mut plan.rng, &mut self.draws, used, take);
+                plan.prefetched += take;
+                padded += take;
+                filler.push((idx, take));
             }
-            let take = depth.saturating_sub(plan.prefetched).min(spare - padded);
-            if take == 0 {
-                continue;
-            }
-            used = draw_pairs(
-                &self.generator,
-                &mut plan.rng,
-                width,
-                &mut self.pair_buf,
-                used,
-                take,
-            );
-            plan.prefetched += take;
-            padded += take;
-            filler.push((idx, take));
         }
 
         // 4. One packed sweep settles everything.
-        let refs: Vec<(&[bool], &[bool])> = self.pair_buf[..used]
-            .iter()
-            .map(VectorPair::as_slices)
-            .collect();
         self.report_buf.clear();
-        let swept = match &self.packed {
-            PackedKernel::Lanes64(packed) => packed
-                .cycle_reports_batch(&refs, &mut self.report_buf)
-                .map_err(MaxPowerError::from),
-            PackedKernel::Lanes128(packed) => packed
-                .cycle_reports_batch(&refs, &mut self.report_buf)
-                .map_err(MaxPowerError::from),
-            PackedKernel::Scalar => unreachable!("lane_width checked above"),
-        };
+        let swept = self.packed.sweep(&self.draws[..used], &mut self.report_buf);
         if let Err(e) = swept {
             // Prefetch was in flight when the sweep failed: the touched
             // plans' shadow streams advanced past readings that were never
             // banked, so serving them later would desynchronize. Poison
             // those plans — a cleared bank and a capped prefetch just mean
             // those hyper-samples simulate everything themselves.
-            for (idx, _take) in filler {
-                if let Some(plan) = batcher.plans.get_mut(idx) {
-                    plan.cache.clear();
-                    plan.prefetched = depth;
+            if let Some(batcher) = batcher {
+                for (idx, _take) in filler {
+                    if let Some(plan) = batcher.plans.get_mut(idx) {
+                        plan.cache.clear();
+                        plan.prefetched = batcher.depth;
+                    }
                 }
             }
             return Err(e);
         }
-
         self.simulated += used as u64;
-        let words = used.div_ceil(lanes) as u64;
-        batcher.stats.words_swept += words;
-        batcher.stats.slots_filled += used as u64;
-        batcher.stats.slots_capacity += words * lanes as u64;
 
         // 5. Scatter: the current hyper-sample's readings to the caller,
         // the prefetched readings into their plans' banks.
-        out.extend(self.report_buf[..fresh].iter().map(|r| r.power_mw));
-        let mut offset = fresh;
-        for (idx, take) in filler {
-            if let Some(plan) = batcher.plans.get_mut(idx) {
-                plan.cache.extend(
-                    self.report_buf[offset..offset + take]
-                        .iter()
-                        .map(|r| r.power_mw),
-                );
+        let read = |i: usize| self.sampler.read(&self.report_buf[i], &self.draws[i]);
+        out.extend((0..fresh).map(read));
+        if let Some(batcher) = batcher {
+            let words = used.div_ceil(lanes) as u64;
+            batcher.stats.words_swept += words;
+            batcher.stats.slots_filled += used as u64;
+            batcher.stats.slots_capacity += words * lanes as u64;
+            let mut offset = fresh;
+            for (idx, take) in filler {
+                if let Some(plan) = batcher.plans.get_mut(idx) {
+                    plan.cache.extend((offset..offset + take).map(read));
+                }
+                offset += take;
             }
-            offset += take;
         }
         Ok(())
     }
@@ -531,12 +690,14 @@ impl PowerSource for SimulatorSource<'_> {
             filled?;
             return Ok(reading.expect("batched_fill(1) yields exactly one reading"));
         }
-        let pair = &mut self.scratch_pair;
-        self.generator.generate_into(rng, self.width, pair);
+        let draw = &mut self.scratch;
+        self.sampler.draw(rng, draw);
         self.simulated += 1;
-        self.simulator
-            .cycle_power(&pair.v1, &pair.v2)
-            .map_err(MaxPowerError::from)
+        let report = self
+            .simulator
+            .cycle_report(&draw.pair.v1, &draw.pair.v2)
+            .map_err(MaxPowerError::from)?;
+        Ok(self.sampler.read(&report, draw))
     }
 
     fn sample_batch(
@@ -546,43 +707,14 @@ impl PowerSource for SimulatorSource<'_> {
         out: &mut Vec<f64>,
     ) -> Result<(), MaxPowerError> {
         if matches!(self.packed, PackedKernel::Scalar) {
-            // Scalar kernel: the default interleaved generate/simulate loop
+            // Scalar kernel: the default interleaved draw/simulate loop
             // (identical RNG order, reusing the simulator's scratch).
             for _ in 0..count {
                 out.push(self.sample(rng)?);
             }
             return Ok(());
         }
-        if self.batcher.is_some() {
-            return self.batched_fill(rng, count, out);
-        }
-        // Draw the whole batch's vectors first — the simulator consumes no
-        // randomness, so this is the same RNG stream as interleaving.
-        draw_pairs(
-            &self.generator,
-            rng,
-            self.width,
-            &mut self.pair_buf,
-            0,
-            count,
-        );
-        let refs: Vec<(&[bool], &[bool])> = self.pair_buf[..count]
-            .iter()
-            .map(VectorPair::as_slices)
-            .collect();
-        self.report_buf.clear();
-        match &self.packed {
-            PackedKernel::Scalar => unreachable!("scalar path returned above"),
-            PackedKernel::Lanes64(packed) => packed
-                .cycle_reports_batch(&refs, &mut self.report_buf)
-                .map_err(MaxPowerError::from)?,
-            PackedKernel::Lanes128(packed) => packed
-                .cycle_reports_batch(&refs, &mut self.report_buf)
-                .map_err(MaxPowerError::from)?,
-        }
-        self.simulated += count as u64;
-        out.extend(self.report_buf.iter().map(|r| r.power_mw));
-        Ok(())
+        self.batched_fill(rng, count, out)
     }
 
     fn begin_hyper_sample(&mut self, k: u64) {
@@ -595,14 +727,14 @@ impl PowerSource for SimulatorSource<'_> {
         // Enough pending hyper-samples that the spare lanes of every sweep
         // (LANES − n of them) always have prefetch to carry:
         // lookahead × n×m ≥ (LANES − n) × m, rounded up with margin.
-        match self.lane_width() {
+        match self.packed.lanes() {
             Some(lanes) if sample_size > 0 => lanes.div_ceil(sample_size),
             _ => 0,
         }
     }
 
     fn plan_hyper_samples(&mut self, master_seed: u64, upcoming: &[u64], expected_units: usize) {
-        if self.lane_width().is_none() {
+        if self.packed.lanes().is_none() {
             return;
         }
         let batcher = self
@@ -624,28 +756,6 @@ impl PowerSource for SimulatorSource<'_> {
     fn lane_stats(&self) -> Option<LaneStats> {
         self.batcher.as_ref().map(|b| b.stats)
     }
-}
-
-/// Draws `count` pairs into `pairs[used..used + count]` and returns the
-/// new used count. The pairs already there are overwritten in place, so a
-/// buffer that is reused across batches stops allocating once it has
-/// reached its high-water mark.
-fn draw_pairs<R: RngCore + ?Sized>(
-    generator: &PairGenerator,
-    rng: &mut R,
-    width: usize,
-    pairs: &mut Vec<VectorPair>,
-    used: usize,
-    count: usize,
-) -> usize {
-    let end = used + count;
-    if pairs.len() < end {
-        pairs.resize_with(end, VectorPair::default);
-    }
-    for pair in &mut pairs[used..end] {
-        generator.generate_into(rng, width, pair);
-    }
-    end
 }
 
 /// Pre-simulated population source (the paper's experimental mode).
@@ -734,6 +844,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{EstimatorBuilder, RunOptions};
     use mpe_netlist::{generate, Iscas85};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -789,6 +900,78 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let v = s.sample(&mut rng).unwrap();
         assert!((0.0..=255.0).contains(&v));
+    }
+
+    fn delay_config(population: u64) -> crate::EstimationConfig {
+        crate::EstimationConfig {
+            finite_population: Some(population),
+            max_hyper_samples: 500,
+            ..crate::EstimationConfig::default()
+        }
+    }
+
+    /// A settle-time source on the scalar kernel, which simulates exactly
+    /// the pairs the estimate uses (no speculative prefetch).
+    fn scalar_delay(circuit: &Circuit, delay: DelayModel) -> SimulatorSource<'_> {
+        SimulatorSource::settle_time(circuit, PairGenerator::Uniform, delay)
+            .with_kernel(KernelMode::Scalar)
+    }
+
+    #[test]
+    fn estimates_delay_bounded_by_depth() {
+        let circuit = generate(Iscas85::C880, 5).unwrap();
+        let mut source = scalar_delay(&circuit, DelayModel::Unit);
+        let session = EstimatorBuilder::new(delay_config(100_000)).build();
+        let est = session
+            .run_source(&mut source, RunOptions::default().seeded(3))
+            .expect("delay estimation converges");
+        // Under unit delay the settle time cannot exceed the logic depth
+        // (each level adds one unit); dither adds at most 1.
+        assert!(est.estimate_mw <= circuit.depth() as f64 + 1.0);
+        assert!(est.estimate_mw > 1.0, "some path longer than one level");
+        assert_eq!(est.units_used as u64, source.simulated());
+    }
+
+    #[test]
+    fn observed_delay_close_to_estimate() {
+        // Each individual hyper-sample is clamped to its own observed
+        // maximum, but the final estimate is the *mean* of hyper-samples
+        // (the paper's procedure), so it may sit slightly below the global
+        // observed maximum — never far below it though.
+        let circuit = generate(Iscas85::C432, 5).unwrap();
+        let mut source = scalar_delay(&circuit, DelayModel::Unit);
+        let session = EstimatorBuilder::new(delay_config(100_000)).build();
+        if let Ok(est) = session.run_source(&mut source, RunOptions::default().seeded(4)) {
+            assert!(est.observed_max_mw > 0.0);
+            assert!(
+                est.estimate_mw >= 0.8 * est.observed_max_mw,
+                "estimate {} far below observed {}",
+                est.estimate_mw,
+                est.observed_max_mw
+            );
+            assert_eq!(est.units_used as u64, source.simulated());
+        }
+    }
+
+    #[test]
+    fn fanout_delay_yields_longer_estimates_than_unit() {
+        let circuit = generate(Iscas85::C1355, 5).unwrap();
+        let run = |model: DelayModel| -> f64 {
+            let mut source = scalar_delay(&circuit, model);
+            let session = EstimatorBuilder::new(delay_config(50_000)).build();
+            session
+                .run_source(&mut source, RunOptions::default().seeded(5))
+                .map(|e| {
+                    assert_eq!(e.units_used as u64, source.simulated());
+                    e.estimate_mw
+                })
+                .unwrap_or(f64::NAN)
+        };
+        let unit = run(DelayModel::Unit);
+        let fanout = run(DelayModel::fanout_default());
+        if unit.is_finite() && fanout.is_finite() {
+            assert!(fanout > unit, "fanout {fanout} vs unit {unit}");
+        }
     }
 
     #[test]

@@ -349,7 +349,6 @@ fn parallel_telemetry_attributes_work_to_worker_lanes() {
 /// change that moves them on purpose regenerates them and says so.
 #[test]
 fn simulator_estimates_match_pinned_bits() {
-    use maxpower::delay::DelaySource;
     let config = EstimationConfig {
         relative_error: 0.15,
         ..EstimationConfig::default()
@@ -373,7 +372,10 @@ fn simulator_estimates_match_pinned_bits() {
     // the lane-batched prefetch path runs in both.
     assert_eq!(zero_uniform.kernel(), KernelMode::Packed);
     assert_eq!(unit_activity.kernel(), KernelMode::Packed128);
-    let delay = DelaySource::new(&c432, PairGenerator::Uniform, DelayModel::Unit);
+    let delay = SimulatorSource::settle_time(&c432, PairGenerator::Uniform, DelayModel::Unit);
+    // The delay pin was taken on the scalar kernel; `Auto` runs it on
+    // 128-lane words with prefetch, dither included.
+    assert_eq!(delay.kernel(), KernelMode::Packed128);
     let options = || RunOptions::default().seeded(42);
     let runs = [
         ("C432 zero uniform", session.run(&zero_uniform, options())),
@@ -401,4 +403,59 @@ fn simulator_estimates_match_pinned_bits() {
         ("C432 unit delay", 0x4031_d890_6137_0a70, 600, 2),
     ];
     assert_eq!(got, pinned, "pinned simulator estimates: {got:#x?}");
+}
+
+/// The settle-time reading is as kernel-blind as power: each reading draws
+/// its pair and then its dither from one stream, on the scalar path, in a
+/// packed sweep, in prefetch and in a banked re-draw alike. So every
+/// kernel and worker count gives the same estimate bits, units and
+/// hyper-sample count. Eight hyper-samples make the prefetch bank some of
+/// a later hyper-sample's readings but not all, so its fresh draws follow
+/// banked re-draws on the caller's stream.
+#[test]
+fn settle_time_estimates_match_across_kernels_and_workers() {
+    let config = EstimationConfig {
+        relative_error: 0.15,
+        min_hyper_samples: 8,
+        ..EstimationConfig::default()
+    };
+    let session = EstimatorBuilder::new(config).build();
+    let c432 = generate(Iscas85::C432, 7).expect("circuit generates");
+    let c880 = generate(Iscas85::C880, 7).expect("circuit generates");
+    let cases = [
+        (&c432, PairGenerator::Uniform, DelayModel::Unit),
+        (
+            &c880,
+            PairGenerator::Activity { activity: 0.3 },
+            DelayModel::fanout_default(),
+        ),
+    ];
+    for (circuit, generator, delay) in cases {
+        let run = |kernel: KernelMode, n: usize| {
+            let source =
+                SimulatorSource::settle_time(circuit, generator.clone(), delay).with_kernel(kernel);
+            let est = session
+                .run(
+                    &source,
+                    RunOptions::default().seeded(42).workers(workers(n)),
+                )
+                .unwrap_or_else(|e| panic!("{} {delay}: {e}", circuit.name()));
+            (est.estimate_mw.to_bits(), est.units_used, est.hyper_samples)
+        };
+        let reference = run(KernelMode::Scalar, 1);
+        for n in [1usize, 4] {
+            for kernel in [
+                KernelMode::Scalar,
+                KernelMode::Packed,
+                KernelMode::Packed128,
+            ] {
+                assert_eq!(
+                    reference,
+                    run(kernel, n),
+                    "{} {delay}: {kernel} kernel, {n} workers diverged",
+                    circuit.name()
+                );
+            }
+        }
+    }
 }

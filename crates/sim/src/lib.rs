@@ -57,10 +57,7 @@ pub use delay::DelayModel;
 pub use engine::{CycleReport, PowerSimulator};
 pub use error::SimError;
 pub use packed::{KernelMode, PackedSimulator};
-pub use population::{
-    simulate_population, simulate_population_kernel, simulate_population_traced,
-    simulate_population_with, PopulationPair,
-};
+pub use population::{simulate_population, simulate_population_kernel, PopulationPair};
 pub use power::PowerConfig;
 pub use trace::{Transition, Waveform};
 

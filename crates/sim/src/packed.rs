@@ -36,6 +36,7 @@ use crate::engine::{CycleReport, PowerSimulator};
 use crate::error::SimError;
 use crate::lane_sums::{CapTable, ClassScratch, ClassSum, LaneSums, LaneWalk};
 use crate::packed_event::{cycle_reports_event, EventScratch};
+use crate::population::PopulationPair;
 use crate::power::PowerConfig;
 
 /// Which simulation kernel the estimation path should use.
@@ -176,9 +177,12 @@ impl<B: Block> PackedSimulator<B> {
     }
 
     /// Simulates every `(v1, v2)` pair, appending one [`CycleReport`] per
-    /// pair to `out` in order. Batches of up to `B::LANES` pairs share
-    /// each word-level sweep; a partial final chunk simply leaves the
-    /// spare lanes unused.
+    /// pair to `out` in order. The pairs are anything implementing
+    /// [`PopulationPair`] (slice or owned tuples, `mpe-vectors`'
+    /// `VectorPair`, a caller's own struct), so callers hand over what
+    /// they hold without building a slice view per batch. Batches of up
+    /// to `B::LANES` pairs share each word-level sweep; a partial final
+    /// chunk simply leaves the spare lanes unused.
     ///
     /// # Errors
     ///
@@ -186,9 +190,9 @@ impl<B: Block> PackedSimulator<B> {
     /// from the circuit's primary input count (reports for chunks before
     /// the offending one are already appended), and propagates
     /// [`SimError::EventBudgetExhausted`] from the timing kernel.
-    pub fn cycle_reports_batch(
+    pub fn cycle_reports_batch<P: PopulationPair>(
         &self,
-        pairs: &[(&[bool], &[bool])],
+        pairs: &[P],
         out: &mut Vec<CycleReport>,
     ) -> Result<(), SimError> {
         let width = self.evaluator.num_inputs();
@@ -203,7 +207,8 @@ impl<B: Block> PackedSimulator<B> {
         words_after.resize(width, B::ZERO);
 
         for chunk in pairs.chunks(B::LANES) {
-            for (lane, (v1, v2)) in chunk.iter().enumerate() {
+            for (lane, pair) in chunk.iter().enumerate() {
+                let (v1, v2) = (pair.before(), pair.after());
                 if v1.len() != width {
                     return Err(SimError::WidthMismatch {
                         expected: width,
@@ -334,13 +339,6 @@ mod tests {
             .collect()
     }
 
-    fn refs_of(pairs: &[(Vec<bool>, Vec<bool>)]) -> Vec<(&[bool], &[bool])> {
-        pairs
-            .iter()
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
-            .collect()
-    }
-
     fn scalar_reports(
         sim: &PowerSimulator<'_>,
         pairs: &[(Vec<bool>, Vec<bool>)],
@@ -380,9 +378,7 @@ mod tests {
         let packed: PackedSimulator<B> = PackedSimulator::new(&sim);
         let pairs = pairs_for(c.num_inputs(), count, seed);
         let mut reports = Vec::new();
-        packed
-            .cycle_reports_batch(&refs_of(&pairs), &mut reports)
-            .unwrap();
+        packed.cycle_reports_batch(&pairs, &mut reports).unwrap();
         assert_bitwise_eq(&scalar_reports(&sim, &pairs), &reports);
     }
 
@@ -451,7 +447,7 @@ mod tests {
         let tight = max_events - 1;
         packed.budget = tight;
         let mut out = Vec::new();
-        let err = packed.cycle_reports_batch(&refs_of(&pairs), &mut out);
+        let err = packed.cycle_reports_batch(&pairs, &mut out);
         assert!(
             matches!(err, Err(SimError::EventBudgetExhausted { budget }) if budget == tight),
             "{err:?}"
@@ -459,23 +455,17 @@ mod tests {
 
         packed.budget = max_events;
         let mut reports = Vec::new();
-        packed
-            .cycle_reports_batch(&refs_of(&pairs), &mut reports)
-            .unwrap();
+        packed.cycle_reports_batch(&pairs, &mut reports).unwrap();
         assert_bitwise_eq(&scalar, &reports);
 
         // Fail once more, then a different batch under the default budget
         // must see none of the abandoned word's pending lanes.
         packed.budget = tight;
-        assert!(packed
-            .cycle_reports_batch(&refs_of(&pairs), &mut out)
-            .is_err());
+        assert!(packed.cycle_reports_batch(&pairs, &mut out).is_err());
         packed.budget = default_budget;
         let next = pairs_for(c.num_inputs(), 130, 31);
         let mut reports = Vec::new();
-        packed
-            .cycle_reports_batch(&refs_of(&next), &mut reports)
-            .unwrap();
+        packed.cycle_reports_batch(&next, &mut reports).unwrap();
         assert_bitwise_eq(&scalar_reports(&sim, &next), &reports);
     }
 
@@ -527,9 +517,7 @@ mod tests {
         assert!(matches!(packed.caps, CapTable::Walk(_)));
         let pairs = pairs_for(c.num_inputs(), 70, 5);
         let mut reports = Vec::new();
-        packed
-            .cycle_reports_batch(&refs_of(&pairs), &mut reports)
-            .unwrap();
+        packed.cycle_reports_batch(&pairs, &mut reports).unwrap();
         assert_bitwise_eq(&scalar_reports(&sim, &pairs), &reports);
     }
 
@@ -541,7 +529,7 @@ mod tests {
         let short = vec![true; c.num_inputs() - 1];
         let full = vec![true; c.num_inputs()];
         let mut out = Vec::new();
-        let err = packed.cycle_reports_batch(&[(&short, &full)], &mut out);
+        let err = packed.cycle_reports_batch(&[(short.as_slice(), full.as_slice())], &mut out);
         assert!(matches!(err, Err(SimError::WidthMismatch { .. })));
     }
 
@@ -551,7 +539,8 @@ mod tests {
         let sim = PowerSimulator::new(&c, DelayModel::Zero, crate::PowerConfig::default());
         let packed: PackedSimulator = PackedSimulator::new(&sim);
         let mut out = Vec::new();
-        packed.cycle_reports_batch(&[], &mut out).unwrap();
+        let none: [(Vec<bool>, Vec<bool>); 0] = [];
+        packed.cycle_reports_batch(&none, &mut out).unwrap();
         assert!(out.is_empty());
     }
 
@@ -563,14 +552,10 @@ mod tests {
         let sim = PowerSimulator::new(&c, DelayModel::Unit, crate::PowerConfig::default());
         let packed: PackedSimulator = PackedSimulator::new(&sim);
         let pairs = pairs_for(c.num_inputs(), 10, 3);
-        let refs: Vec<(&[bool], &[bool])> = pairs
-            .iter()
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
-            .collect();
         let mut first = Vec::new();
-        packed.cycle_reports_batch(&refs, &mut first).unwrap();
+        packed.cycle_reports_batch(&pairs, &mut first).unwrap();
         let mut second = Vec::new();
-        packed.cycle_reports_batch(&refs, &mut second).unwrap();
+        packed.cycle_reports_batch(&pairs, &mut second).unwrap();
         assert_eq!(first, second);
     }
 

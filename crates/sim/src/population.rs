@@ -110,62 +110,12 @@ pub fn simulate_population<P: PopulationPair + Sync>(
     config: PowerConfig,
     threads: usize,
 ) -> Result<Vec<f64>, SimError> {
-    simulate_population_with(
-        circuit,
-        pairs,
-        delay,
-        config,
-        &CapacitanceModel::default(),
-        threads,
-    )
-}
-
-/// [`simulate_population`] instrumented with telemetry: the whole batch
-/// runs inside a `simulate` span and the number of pairs evaluated is
-/// counted into [`mpe_telemetry::names::POPULATION_PAIRS_SIMULATED`]
-/// (distinct from the estimation-path counter, so a ground-truth build
-/// never inflates an estimate's unit accounting). With a disabled handle
-/// this is exactly [`simulate_population`].
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] encountered.
-pub fn simulate_population_traced<P: PopulationPair + Sync>(
-    circuit: &Circuit,
-    pairs: &[P],
-    delay: DelayModel,
-    config: PowerConfig,
-    threads: usize,
-    telemetry: &mpe_telemetry::Telemetry,
-) -> Result<Vec<f64>, SimError> {
-    let _span = telemetry.span(mpe_telemetry::SpanKind::Simulate);
-    let powers = simulate_population(circuit, pairs, delay, config, threads)?;
-    telemetry.counter(
-        mpe_telemetry::names::POPULATION_PAIRS_SIMULATED,
-        powers.len() as u64,
-    );
-    Ok(powers)
-}
-
-/// [`simulate_population`] with an explicit capacitance model.
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] encountered.
-pub fn simulate_population_with<P: PopulationPair + Sync>(
-    circuit: &Circuit,
-    pairs: &[P],
-    delay: DelayModel,
-    config: PowerConfig,
-    cap_model: &CapacitanceModel,
-    threads: usize,
-) -> Result<Vec<f64>, SimError> {
     simulate_population_kernel(
         circuit,
         pairs,
         delay,
         config,
-        cap_model,
+        &CapacitanceModel::default(),
         threads,
         KernelMode::Auto,
     )
@@ -183,7 +133,7 @@ pub fn simulate_population_with<P: PopulationPair + Sync>(
 /// Returns the first [`SimError`] encountered. On an error, the remaining
 /// workers bail out at their next pair (scalar) or lane word (packed)
 /// instead of finishing their chunks.
-#[allow(clippy::too_many_arguments)] // the explicit variant behind 3 defaults
+#[allow(clippy::too_many_arguments)] // the explicit variant behind `simulate_population`
 pub fn simulate_population_kernel<P: PopulationPair + Sync>(
     circuit: &Circuit,
     pairs: &[P],
@@ -288,16 +238,13 @@ fn packed_chunk<B: Block, P: PopulationPair>(
     poison: &AtomicBool,
 ) -> Result<(), SimError> {
     let packed: PackedSimulator<B> = PackedSimulator::new(sim);
-    let mut refs: Vec<(&[bool], &[bool])> = Vec::with_capacity(B::LANES);
     let mut reports: Vec<CycleReport> = Vec::with_capacity(B::LANES);
     for (out_word, in_word) in out.chunks_mut(B::LANES).zip(pairs.chunks(B::LANES)) {
         if poison.load(Ordering::Relaxed) {
             return Ok(());
         }
-        refs.clear();
-        refs.extend(in_word.iter().map(|p| (p.before(), p.after())));
         reports.clear();
-        packed.cycle_reports_batch(&refs, &mut reports)?;
+        packed.cycle_reports_batch(in_word, &mut reports)?;
         for (slot, report) in out_word.iter_mut().zip(&reports) {
             *slot = report.power_mw;
         }
@@ -367,7 +314,7 @@ mod tests {
         let pairs = random_pairs(c.num_inputs(), 100, 7);
         let owned =
             simulate_population(&c, &pairs, DelayModel::Unit, PowerConfig::default(), 2).unwrap();
-        let borrowed: Vec<(&[bool], &[bool])> = pairs
+        let borrowed: Vec<_> = pairs
             .iter()
             .map(|(v1, v2)| (v1.as_slice(), v2.as_slice()))
             .collect();
@@ -443,31 +390,6 @@ mod tests {
                             // Bounded by total capacitance switching twice.
         let cap_bound = mpe_netlist::CapacitanceModel::default().total_capacitance(&c);
         assert!(max <= PowerConfig::default().power_mw(4.0 * cap_bound));
-    }
-
-    #[test]
-    fn traced_population_matches_plain_and_counts_pairs() {
-        let c = generate(Iscas85::C432, 11).unwrap();
-        let pairs = random_pairs(c.num_inputs(), 40, 5);
-        let plain =
-            simulate_population(&c, &pairs, DelayModel::Unit, PowerConfig::default(), 2).unwrap();
-        let telemetry = mpe_telemetry::Telemetry::enabled();
-        let traced = simulate_population_traced(
-            &c,
-            &pairs,
-            DelayModel::Unit,
-            PowerConfig::default(),
-            2,
-            &telemetry,
-        )
-        .unwrap();
-        assert_eq!(plain, traced);
-        let snap = telemetry.snapshot();
-        assert_eq!(
-            snap.counter(mpe_telemetry::names::POPULATION_PAIRS_SIMULATED),
-            40
-        );
-        assert_eq!(snap.phase(mpe_telemetry::SpanKind::Simulate).count, 1);
     }
 
     #[test]

@@ -114,15 +114,11 @@ fn assert_packed_match_scalar(
 ) {
     let packed64: PackedSimulator<u64> = PackedSimulator::new(sim);
     let packed128: PackedSimulator<u128> = PackedSimulator::new(sim);
-    let refs: Vec<(&[bool], &[bool])> = pairs
-        .iter()
-        .map(|(a, b)| (a.as_slice(), b.as_slice()))
-        .collect();
     let mut reports64 = Vec::new();
-    packed64.cycle_reports_batch(&refs, &mut reports64).unwrap();
+    packed64.cycle_reports_batch(pairs, &mut reports64).unwrap();
     let mut reports128: Vec<CycleReport> = Vec::new();
     packed128
-        .cycle_reports_batch(&refs, &mut reports128)
+        .cycle_reports_batch(pairs, &mut reports128)
         .unwrap();
     assert_eq!(reports64.len(), pairs.len());
     assert_eq!(reports128.len(), pairs.len());

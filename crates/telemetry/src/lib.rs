@@ -72,10 +72,6 @@ pub mod names {
     pub const LANE_SLOTS_FILLED: &str = "lane_slots_filled";
     /// Counter: total lane capacity of those sweeps (`sweeps × LANES`).
     pub const LANE_SLOTS_CAPACITY: &str = "lane_slots_capacity";
-    /// Counter: vector pairs evaluated by whole-population batch
-    /// simulation (ground-truth builds) — deliberately distinct from
-    /// [`VECTOR_PAIRS_SIMULATED`], which tracks only estimation draws.
-    pub const POPULATION_PAIRS_SIMULATED: &str = "population_pairs_simulated";
     /// Counter: MLE fit attempts beyond the first within one hyper-sample.
     pub const MLE_RETRIES: &str = "mle_retries";
     /// Counter: likelihood-profile grid probes evaluated inside the MLE.

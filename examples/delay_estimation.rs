@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example delay_estimation`
 
-use maxpower::{DelaySource, EstimationConfig, EstimatorBuilder, RunOptions};
+use maxpower::{EstimationConfig, EstimatorBuilder, RunOptions, SimulatorSource};
 use mpe_netlist::{generate, Iscas85};
 use mpe_sim::DelayModel;
 use mpe_vectors::PairGenerator;
@@ -25,7 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for which in [Iscas85::C432, Iscas85::C880, Iscas85::C1355, Iscas85::C6288] {
         let circuit = generate(which, 7)?;
-        let source = DelaySource::new(&circuit, PairGenerator::Uniform, DelayModel::Unit);
+        let source =
+            SimulatorSource::settle_time(&circuit, PairGenerator::Uniform, DelayModel::Unit);
         let config = EstimationConfig {
             finite_population: Some(100_000),
             max_hyper_samples: 500,

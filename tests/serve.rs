@@ -347,7 +347,7 @@ fn non_default_spec_matches_the_cli() {
 }
 
 /// The same bad request is refused with the same error kind and message
-/// on both fronts: 400 ↔ exit 2, 422 ↔ exit 3.
+/// on both fronts: HTTP 400 ↔ exit 2.
 #[test]
 fn bad_requests_fail_alike_on_both_fronts() {
     let dir = temp_dir("bad_requests");
@@ -381,10 +381,6 @@ fn bad_requests_fail_alike_on_both_fronts() {
             r#"{"circuit":"C432","delay_model":"fast"}"#,
             &["estimate", "--delay-model", "fast"],
         ),
-        (
-            r#"{"circuit":"C432","metric":"delay","kernel":"packed"}"#,
-            &["delay", "--kernel", "packed"],
-        ),
         (r#"{"circuit":"C9999"}"#, &["estimate"]),
     ] {
         let (status, served) = daemon.post("/jobs", body);
@@ -411,12 +407,8 @@ fn bad_requests_fail_alike_on_both_fronts() {
             .output()
             .expect("cli runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let code = match status {
-            400 => 2,
-            422 => 3,
-            other => panic!("{body}: HTTP {other}: {served}"),
-        };
-        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert_eq!(status, 400, "{body}: {served}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
             stderr.contains(&format!("error[{kind}]: {message}\n")),
             "{args:?} printed\n{stderr}\nbut {body} got {served}"
