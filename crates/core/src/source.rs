@@ -339,6 +339,9 @@ struct LaneBatcher {
     /// Highest index ever begun — guards against planning finished work.
     last_begun: Option<u64>,
     stats: LaneStats,
+    /// `(plan index, readings)` of the current sweep's prefetch, kept
+    /// across sweeps so padding allocates nothing.
+    filler: Vec<(usize, usize)>,
 }
 
 impl LaneBatcher {
@@ -350,6 +353,7 @@ impl LaneBatcher {
             active: VecDeque::new(),
             last_begun: None,
             stats: LaneStats::default(),
+            filler: Vec::new(),
         }
     }
 
@@ -610,8 +614,8 @@ impl<'c> SimulatorSource<'c> {
         let mut used = self.sampler.draw_many(rng, &mut self.draws, 0, fresh);
         // 3. ...padded to a full final word with draws prefetched for the
         // pending hyper-samples, each from its own shadow stream.
-        let mut filler: Vec<(usize, usize)> = Vec::new();
         if let Some(batcher) = batcher.as_deref_mut() {
+            batcher.filler.clear();
             let spare = (lanes - used % lanes) % lanes;
             let mut padded = 0usize;
             for (idx, plan) in batcher.plans.iter_mut().enumerate() {
@@ -630,7 +634,7 @@ impl<'c> SimulatorSource<'c> {
                     .draw_many(&mut plan.rng, &mut self.draws, used, take);
                 plan.prefetched += take;
                 padded += take;
-                filler.push((idx, take));
+                batcher.filler.push((idx, take));
             }
         }
 
@@ -644,7 +648,7 @@ impl<'c> SimulatorSource<'c> {
             // those plans — a cleared bank and a capped prefetch just mean
             // those hyper-samples simulate everything themselves.
             if let Some(batcher) = batcher {
-                for (idx, _take) in filler {
+                for &(idx, _take) in &batcher.filler {
                     if let Some(plan) = batcher.plans.get_mut(idx) {
                         plan.cache.clear();
                         plan.prefetched = batcher.depth;
@@ -665,7 +669,7 @@ impl<'c> SimulatorSource<'c> {
             batcher.stats.slots_filled += used as u64;
             batcher.stats.slots_capacity += words * lanes as u64;
             let mut offset = fresh;
-            for (idx, take) in filler {
+            for &(idx, take) in &batcher.filler {
                 if let Some(plan) = batcher.plans.get_mut(idx) {
                     plan.cache.extend((offset..offset + take).map(read));
                 }

@@ -57,11 +57,13 @@ impl WeibullFit {
     }
 }
 
-/// The buffers one fit reuses for every probe: `y_i = μ − x_i` and `ln y_i`.
+/// The buffers one fit reuses for every probe: `y_i = μ − x_i` and `ln y_i`,
+/// and every feasible probe's inner fit, keyed by `μ.to_bits()`.
 #[derive(Default)]
 struct Scratch {
     y: Vec<f64>,
     ln_y: Vec<f64>,
+    fits: Vec<(u64, Weibull2Fit)>,
 }
 
 impl Scratch {
@@ -76,8 +78,22 @@ impl Scratch {
     /// `f64::NEG_INFINITY` where the inner fit is infeasible (some `y_i ≤ 0`).
     fn profile_mll(&mut self, data: &[f64], mu: f64) -> f64 {
         match self.fit_at(data, mu) {
-            Ok(fit) => fit.mean_log_likelihood,
+            Ok(fit) => {
+                self.fits.push((mu.to_bits(), fit));
+                fit.mean_log_likelihood
+            }
             Err(_) => f64::NEG_INFINITY,
+        }
+    }
+
+    /// The inner fit at `mu`: the probe's own where one was feasible, so
+    /// the final fit repeats no work. An infeasible probe is refitted for
+    /// its error.
+    fn final_fit(&mut self, data: &[f64], mu: f64) -> Result<Weibull2Fit, MleError> {
+        let key = mu.to_bits();
+        match self.fits.iter().rev().find(|(bits, _)| *bits == key) {
+            Some(&(_, fit)) => Ok(fit),
+            None => self.fit_at(data, mu),
         }
     }
 }
@@ -165,7 +181,10 @@ fn fit_inner(
     // shapes < 1; scanning first makes the refinement bracket trustworthy.
     let ln_lo = opts.mu_lower_fraction.ln();
     let ln_hi = opts.mu_upper_fraction.ln();
-    let scratch = RefCell::new(Scratch::default());
+    let scratch = RefCell::new(Scratch {
+        fits: Vec::with_capacity(2 * opts.grid_points),
+        ..Scratch::default()
+    });
     let mut best_j = 0usize;
     let mut best_ll = f64::NEG_INFINITY;
     let offsets: Vec<f64> = (0..opts.grid_points)
@@ -210,8 +229,8 @@ fn fit_inner(
         x_max + offsets[best_j]
     };
 
-    // Final inner fit at the refined endpoint.
-    let inner = scratch.into_inner().fit_at(data, mu_hat)?;
+    // Final inner fit at the refined endpoint, itself a probe.
+    let inner = scratch.into_inner().final_fit(data, mu_hat)?;
     let distribution = ReversedWeibull::new(inner.alpha, inner.beta, mu_hat)?;
     Ok(WeibullFit {
         distribution,

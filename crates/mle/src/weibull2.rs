@@ -76,6 +76,68 @@ fn power_sums(y: &[f64], ln_y: &[f64], alpha: f64) -> (f64, f64, f64) {
     (s, sl, sll)
 }
 
+/// What the upper bracket-end sign proof needs of the data and `l_i = ln y_i`.
+struct BracketSigns {
+    y_max: f64,
+    /// `max l = ln max y_i`, `max |l_i|` and `mean l`.
+    max_ln: f64,
+    max_abs_ln: f64,
+    mean_ln: f64,
+    /// A residual within `margin` of zero has no decided sign. It sits far
+    /// above the rounding error of either computation: the recursive-sum
+    /// bound `m·ε·max|l|`, and a few thousand `ε` from the squarings below.
+    margin: f64,
+}
+
+impl BracketSigns {
+    fn new(y: &[f64], ln_y: &[f64], mean_ln: f64) -> Self {
+        let y_max = y.iter().copied().fold(0.0, f64::max);
+        let max_abs_ln = ln_y.iter().map(|l| l.abs()).fold(0.0, f64::max);
+        BracketSigns {
+            y_max,
+            max_ln: safe_ln(y_max),
+            max_abs_ln,
+            mean_ln,
+            margin: (1e-9 + 16.0 * y.len() as f64 * f64::EPSILON) * (1.0 + max_abs_ln),
+        }
+    }
+
+    /// The sign of the shape residual at the upper bracket end
+    /// `alpha = 10·4^grow`.
+    ///
+    /// The weights `w_i = (y_i/y_max)^alpha ≤ 1` come from squaring (`r²`,
+    /// `r⁴`, `r⁸·r²`, then `^4` per growth step), and
+    /// `g = max l − Σw(max l − l)/Σw − 1/alpha − mean l` is, to rounding,
+    /// the residual a [`power_sums`] pass gives. Its sign is that pass's
+    /// sign when
+    /// * `alpha·max|l| < 600`: every `y_i^alpha` is then finite and normal,
+    ///   so the pass has no overflowed or underflowed `Σp` (and no `NaN`
+    ///   residual) to reproduce; and each weight's relative error from the
+    ///   squarings, about `alpha·ε`, moves the weighted mean of
+    ///   `max l − l ≤ 2·max|l|` by a few thousand `ε` at most;
+    /// * `|g|` clears the margin.
+    fn at_upper(&self, y: &[f64], ln_y: &[f64], alpha: f64, grow: u32) -> Option<f64> {
+        if alpha * self.max_abs_ln >= 600.0 {
+            return None;
+        }
+        let (mut sw, mut swd) = (0.0, 0.0);
+        for (&v, &l) in y.iter().zip(ln_y) {
+            let r = v / self.y_max;
+            let r2 = r * r;
+            let r4 = r2 * r2;
+            let mut w = r4 * r4 * r2;
+            for _ in 0..grow {
+                let w2 = w * w;
+                w = w2 * w2;
+            }
+            sw += w;
+            swd += w * (self.max_ln - l);
+        }
+        let g = self.max_ln - swd / sw - 1.0 / alpha - self.mean_ln;
+        (g.abs() > self.margin).then_some(g.signum())
+    }
+}
+
 /// [`fit_weibull2`] with a caller-owned buffer for `ln y_i`, which it fills
 /// once; the profile search reuses one buffer for every probe of a fit.
 pub(crate) fn fit_weibull2_in(y: &[f64], ln_y: &mut Vec<f64>) -> Result<Weibull2Fit, MleError> {
@@ -114,18 +176,23 @@ pub(crate) fn fit_weibull2_in(y: &[f64], ln_y: &mut Vec<f64>) -> Result<Weibull2
         (sl / s - 1.0 / alpha - mean_ln, dg)
     };
 
-    // Bracket the root: g is increasing; g(α→0⁺) → −∞ is guaranteed, and for
-    // large α, g → max ln y − mean ln y > 0. Grow the upper bound until the
-    // sign flips.
-    let mut lo = 1e-3;
-    let mut g_lo = shape(lo).0;
-    while g_lo > 0.0 && lo > 1e-12 {
-        lo /= 10.0;
-        g_lo = shape(lo).0;
-    }
+    // Bracket the root: g is increasing, and for large α,
+    // g → max ln y − mean ln y > 0. Grow the upper bound until the sign
+    // flips. `bisect_newton` reads the bracket ends' residuals only through
+    // their signs, so an end whose sign is proven costs no pass.
+    //
+    // The lower end's sign is always proven: at α = 10⁻³ every weight y^α
+    // lies in [0.475, 2.03] and `safe_ln` keeps ln y in [−690.8, 709.8], so
+    // the Σp-weighted mean of ln y exceeds its plain mean by at most
+    // 1400.6·(√4.27 − 1)/(√4.27 + 1) ≈ 487 < 1000 = 1/α, and g(10⁻³) < 0.
+    let signs = BracketSigns::new(y, ln_y, mean_ln);
+    let lo = 1e-3;
+    let g_lo = -1.0;
     let mut hi = 10.0;
-    let mut g_hi = shape(hi).0;
     let mut grow = 0;
+    let mut g_hi = signs
+        .at_upper(y, ln_y, hi, grow)
+        .unwrap_or_else(|| shape(hi).0);
     while g_hi < 0.0 {
         hi *= 4.0;
         grow += 1;
@@ -134,7 +201,9 @@ pub(crate) fn fit_weibull2_in(y: &[f64], ln_y: &mut Vec<f64>) -> Result<Weibull2
                 stage: "weibull2 shape bracket",
             });
         }
-        g_hi = shape(hi).0;
+        g_hi = signs
+            .at_upper(y, ln_y, hi, grow)
+            .unwrap_or_else(|| shape(hi).0);
     }
     let root = bisect_newton(&mut shape, (lo, g_lo), (hi, g_hi), 1e-12).map_err(|_| {
         MleError::NoConvergence {

@@ -22,7 +22,9 @@ pub struct RootResult {
 /// pass per iterate. The caller passes the bracket ends with their known
 /// residuals `fa = f(a)` and `fb = f(b)`, typically left over from its own
 /// bracket search; `fdf` is called exactly once per iterate and never at
-/// `a` or `b`.
+/// `a` or `b`. Only the signs of `fa` and `fb` (and whether one is exactly
+/// `0`) are read, so a caller that can prove a bracket end's sign may pass
+/// `±1` there instead of evaluating `f`: the result is the same.
 ///
 /// This is the textbook-reliable combination used for the Weibull shape
 /// equation in `mpe-mle`, whose residual is smooth and monotone but whose
@@ -203,6 +205,21 @@ mod tests {
             solve(|x| x, |_| 1.0, -1.0, 1.0, -1e-10),
             Err(StatsError::InvalidArgument { .. })
         ));
+    }
+
+    #[test]
+    fn bracket_end_signs_suffice() {
+        // `±1` in place of the true end residuals: the same iterates.
+        fn same(f: impl Fn(f64) -> f64, df: impl Fn(f64) -> f64, a: f64, b: f64) {
+            let fdf = |x: f64| (f(x), df(x));
+            let full = bisect_newton(fdf, (a, f(a)), (b, f(b)), 1e-12).unwrap();
+            let signs = bisect_newton(fdf, (a, f(a).signum()), (b, f(b).signum()), 1e-12);
+            assert_eq!(signs.unwrap(), full);
+        }
+        same(|x| x * x - 2.0, |x| 2.0 * x, 0.0, 2.0);
+        same(|x| x - x.cos(), |x| 1.0 + x.sin(), 0.0, 1.0);
+        // Decreasing, with a useless derivative: bisection throughout.
+        same(|x| 8.0 - x * x * x, |_| 0.0, 0.0, 10.0);
     }
 
     #[test]
