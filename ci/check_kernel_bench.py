@@ -11,10 +11,10 @@ have regressed:
   single false is an instant failure;
 * every row's speedup must clear a conservative per-delay-model floor.
   The floors sit below locally measured numbers (kernel smoke, C432 to
-  C6288, best of three repetitions: zero-delay 27.2x-111.4x, unit
-  7.1x-20.4x, fanout 3.9x-11.3x, where C6288's 64-lane fanout row is
-  the closest to its floor; population sweep: zero-delay 22x-60x, unit
-  15x-22x on a shared dev box) so that
+  C6288, best of three repetitions: zero-delay 19.0x-99.3x, unit
+  10.2x-18.0x, fanout 6.3x-12.3x, where C432's 128-lane zero-delay row
+  is the closest to its floor; population sweep: zero-delay 24x-67x,
+  unit 18x-23x on a shared 2-vCPU host) so that
   noisy CI runners rarely flake, while a real regression — say the packed
   lane loop quietly falling back to per-lane evaluation, or the
   population path dropping back to per-pair dispatch — still trips them.

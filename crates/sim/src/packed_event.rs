@@ -12,6 +12,13 @@
 //! evaluated word-wide once, and the lane mask picks out which lanes the
 //! result applies to.
 //!
+//! **The wheel is a bitmap per slot.** Where the scalar wheel keeps a
+//! node list per slot and sorts it before draining, each slot here holds
+//! one bit per node. Draining scans the slot's words from low to high and
+//! peels each word's bits lowest first, which visits the pending nodes in
+//! ascending order with no sort. The current slot is carried beside
+//! `now`, so neither a step nor a schedule divides by the wheel length.
+//!
 //! **Per-lane bookkeeping a word at a time.** `events` is a count, so a
 //! [`LaneCounter`] adds a whole drained mask at once, eight lanes per
 //! table lookup. `settle_time` is the last step in which a lane changed,
@@ -51,52 +58,71 @@ use crate::power::PowerConfig;
 
 /// Reusable working memory of the packed event kernel.
 ///
-/// `masks` is kept all-zero between calls: every drained entry is cleared
-/// as it is processed, and the error path unwinds whatever is still
-/// pending — so the (potentially large) dense array is never re-zeroed
-/// wholesale.
+/// `masks` and `bits` are kept all-zero between calls: every drained
+/// entry is cleared as it is processed, and the error path unwinds
+/// whatever is still pending — so the (potentially large) dense arrays
+/// are never re-zeroed wholesale.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EventScratch<B> {
     /// Live node values, one lane per assignment.
     values: Vec<B>,
     /// Dense per-`(slot, node)` pending-lane masks: `masks[slot * n + node]`.
     masks: Vec<B>,
-    /// Per-slot list of nodes with a non-zero pending mask in that slot.
-    slot_nodes: Vec<Vec<u32>>,
+    /// Per-slot bitmaps of the nodes with a non-zero pending mask, one
+    /// bit per node and `n.div_ceil(64)` words per slot: bit `node % 64`
+    /// of `bits[slot * words + node / 64]`. Scanning a slot's words low to
+    /// high and peeling each word's bits lowest first visits its nodes in
+    /// ascending order, the scalar wheel's same-time order, with no sort.
+    bits: Vec<u64>,
 }
 
-/// Schedules a re-evaluation of `node` at `time` for the lanes in `mask`.
+/// Schedules a re-evaluation of `node` in wheel slot `slot` for the lanes
+/// in `mask`.
 #[inline]
 fn schedule<B: Block>(
     scratch: &mut EventScratch<B>,
     n: usize,
-    wheel_len: usize,
+    words: usize,
+    slot: usize,
     node: u32,
-    time: u64,
     mask: B,
     pending: &mut usize,
 ) {
-    let slot = (time % wheel_len as u64) as usize;
-    let entry = &mut scratch.masks[slot * n + node as usize];
+    let node = node as usize;
+    let entry = &mut scratch.masks[slot * n + node];
     if entry.is_zero() {
-        scratch.slot_nodes[slot].push(node);
+        scratch.bits[slot * words + node / 64] |= 1 << (node % 64);
         *pending += 1;
     }
     *entry |= mask;
 }
 
-/// Restores the all-zero `masks` invariant after an early error.
-fn clear_pending<B: Block>(scratch: &mut EventScratch<B>, n: usize) {
+/// Restores the all-zero `masks` and `bits` invariant after an early
+/// error. A word taken out of its bitmap for draining must be put back
+/// first, with the bits not yet peeled.
+fn clear_pending<B: Block>(
+    scratch: &mut EventScratch<B>,
+    n: usize,
+    words: usize,
+    wheel_len: usize,
+) {
     let EventScratch {
         ref mut masks,
-        ref mut slot_nodes,
+        ref mut bits,
         ..
     } = *scratch;
-    for (slot, nodes) in slot_nodes.iter_mut().enumerate() {
-        for &node in nodes.iter() {
-            masks[slot * n + node as usize] = B::ZERO;
+    for (slot, slot_bits) in bits[..wheel_len * words]
+        .chunks_exact_mut(words)
+        .enumerate()
+    {
+        for (w, word) in slot_bits.iter_mut().enumerate() {
+            let mut rest = std::mem::take(word);
+            while rest != 0 {
+                let node = w * 64 + rest.trailing_zeros() as usize;
+                masks[slot * n + node] = B::ZERO;
+                rest &= rest - 1;
+            }
         }
-        nodes.clear();
     }
 }
 
@@ -130,9 +156,10 @@ pub(crate) fn cycle_reports_event<B: Block, S: LaneSums<B>>(
     out: &mut Vec<CycleReport>,
 ) -> Result<(), SimError> {
     let n = evaluator.num_nodes();
+    let words = n.div_ceil(64);
     let wheel_len = (max_delay + 1) as usize;
-    if scratch.slot_nodes.len() < wheel_len {
-        scratch.slot_nodes.resize(wheel_len, Vec::new());
+    if scratch.bits.len() < wheel_len * words {
+        scratch.bits.resize(wheel_len * words, 0);
     }
     if scratch.masks.len() < wheel_len * n {
         scratch.masks.resize(wheel_len * n, B::ZERO);
@@ -151,7 +178,8 @@ pub(crate) fn cycle_reports_event<B: Block, S: LaneSums<B>>(
     let mut drains = 0usize;
 
     // Apply the "after" vectors at t = 0 in input-declaration order:
-    // input flips toggle immediately and schedule their fanouts.
+    // input flips toggle immediately and schedule their fanouts. Time 0
+    // is slot 0, and every delay is below `wheel_len`.
     for (j, &id) in evaluator.input_ids().iter().enumerate() {
         let i = id as usize;
         let diff = (scratch.values[i] ^ words_after[j]) & active;
@@ -161,62 +189,66 @@ pub(crate) fn cycle_reports_event<B: Block, S: LaneSums<B>>(
         scratch.values[i] ^= diff;
         sums.add(i, diff);
         for &f in evaluator.fanout_of(i) {
-            let time = delays[f as usize];
-            schedule(scratch, n, wheel_len, f, time, diff, &mut pending);
+            let at = delays[f as usize] as usize;
+            schedule(scratch, n, words, at, f, diff, &mut pending);
         }
     }
 
+    // `slot` is `now % wheel_len`, carried along instead of divided out.
     let mut now = 0u64;
+    let mut slot = 0usize;
     while pending > 0 {
         now += 1;
-        let slot = (now % wheel_len as u64) as usize;
-        if scratch.slot_nodes[slot].is_empty() {
-            continue;
+        slot += 1;
+        if slot == wheel_len {
+            slot = 0;
         }
-        // Ascending node order within a time step — observable per lane
-        // through glitch counts (and, for the lane walk, the f64 addition
-        // sequence), exactly as in the scalar wheel.
-        scratch.slot_nodes[slot].sort_unstable();
         // Lanes with a toggle at `now`; their settle time is `now`.
         let mut step_changed = B::ZERO;
-        // New schedules land at `now + d` with `1 <= d <= max_delay`,
-        // never back onto `slot`, so indexed iteration over a stable
-        // bucket is safe while other buckets grow.
-        let mut idx = 0;
-        while idx < scratch.slot_nodes[slot].len() {
-            let node = scratch.slot_nodes[slot][idx] as usize;
-            idx += 1;
-            pending -= 1;
-            let mask = scratch.masks[slot * n + node];
-            scratch.masks[slot * n + node] = B::ZERO;
-            // One event per lane per (node, time), the scalar kernel's
-            // coalesced count.
-            events.add(mask);
-            drains += 1;
-            if drains > budget {
-                events.flush::<B>();
-                if events.totals[..lanes].iter().any(|&e| e as usize > budget) {
-                    clear_pending(scratch, n);
-                    return Err(SimError::EventBudgetExhausted { budget });
+        // Ascending node order within a time step — observable per lane
+        // through glitch counts (and, for the lane walk, the f64 addition
+        // sequence), exactly as in the scalar wheel. New schedules land at
+        // `now + d` with `1 <= d <= max_delay`, never back onto `slot`, so
+        // each word is taken whole before its bits are peeled.
+        for w in 0..words {
+            let mut word = std::mem::take(&mut scratch.bits[slot * words + w]);
+            while word != 0 {
+                let node = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                pending -= 1;
+                let mask = std::mem::replace(&mut scratch.masks[slot * n + node], B::ZERO);
+                // One event per lane per (node, time), the scalar kernel's
+                // coalesced count.
+                events.add(mask);
+                drains += 1;
+                if drains > budget {
+                    events.flush::<B>();
+                    if events.totals[..lanes].iter().any(|&e| e as usize > budget) {
+                        scratch.bits[slot * words + w] = word;
+                        clear_pending(scratch, n, words, wheel_len);
+                        return Err(SimError::EventBudgetExhausted { budget });
+                    }
+                }
+                if evaluator.kind(node) == GateKind::Input {
+                    continue;
+                }
+                let new_word = eval_node(evaluator, node, &scratch.values);
+                let changed = (new_word ^ scratch.values[node]) & mask;
+                if changed.is_zero() {
+                    continue;
+                }
+                scratch.values[node] ^= changed;
+                sums.add(node, changed);
+                step_changed |= changed;
+                for &f in evaluator.fanout_of(node) {
+                    let mut at = slot + delays[f as usize] as usize;
+                    if at >= wheel_len {
+                        at -= wheel_len;
+                    }
+                    schedule(scratch, n, words, at, f, changed, &mut pending);
                 }
             }
-            if evaluator.kind(node) == GateKind::Input {
-                continue;
-            }
-            let new_word = eval_node(evaluator, node, &scratch.values);
-            let changed = (new_word ^ scratch.values[node]) & mask;
-            if changed.is_zero() {
-                continue;
-            }
-            scratch.values[node] ^= changed;
-            sums.add(node, changed);
-            step_changed |= changed;
-            for &f in evaluator.fanout_of(node) {
-                let time = now + delays[f as usize];
-                schedule(scratch, n, wheel_len, f, time, changed, &mut pending);
-            }
         }
-        scratch.slot_nodes[slot].clear();
         // `now` is monotone, so assignment implements `max`.
         while !step_changed.is_zero() {
             settle[step_changed.trailing_zeros() as usize] = now;
@@ -238,4 +270,156 @@ pub(crate) fn cycle_reports_event<B: Block, S: LaneSums<B>>(
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use mpe_netlist::{generate, Circuit, Iscas85};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+    use crate::delay::DelayModel;
+    use crate::engine::PowerSimulator;
+    use crate::lane_sums::LaneWalk;
+    use crate::trace::Waveform;
+
+    fn pair(rng: &mut SmallRng, width: usize) -> (Vec<bool>, Vec<bool>) {
+        let mut vector = || (0..width).map(|_| rng.gen()).collect();
+        (vector(), vector())
+    }
+
+    /// The scalar kernel's drain sequence for one pair's waveform: the
+    /// distinct `(time, node)` evaluations in wheel order. Every
+    /// transition at `t` schedules each fanout `f` at `t + delay(f)`.
+    fn evaluations(sim: &PowerSimulator<'_>, c: &Circuit, wave: &Waveform) -> Vec<(u64, usize)> {
+        let mut set = BTreeSet::new();
+        for tr in wave.transitions() {
+            for &f in c.fanouts(tr.node) {
+                set.insert((tr.time + sim.delays()[f.index()], f.index()));
+            }
+        }
+        set.into_iter().collect()
+    }
+
+    /// Runs one word through the event kernel, packing `pairs` into its
+    /// low lanes.
+    fn run_word(
+        sim: &PowerSimulator<'_>,
+        evaluator: &PackedEvaluator,
+        scratch: &mut EventScratch<u64>,
+        pairs: &[(Vec<bool>, Vec<bool>)],
+        budget: usize,
+    ) -> Result<Vec<CycleReport>, SimError> {
+        let width = evaluator.num_inputs();
+        let mut before = vec![0u64; width];
+        let mut after = vec![0u64; width];
+        for (lane, (v1, v2)) in pairs.iter().enumerate() {
+            evaluator.pack_lane(&mut before, lane, v1);
+            evaluator.pack_lane(&mut after, lane, v2);
+        }
+        let mut out = Vec::new();
+        cycle_reports_event(
+            evaluator,
+            LaneWalk::new(sim.caps()),
+            sim.delays(),
+            sim.max_delay(),
+            budget,
+            sim.config(),
+            scratch,
+            &before,
+            &after,
+            pairs.len(),
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
+    fn assert_scratch_clean(scratch: &EventScratch<u64>, when: &str) {
+        assert!(
+            scratch.masks.iter().all(|m| m.is_zero()),
+            "mask left set {when}"
+        );
+        assert!(
+            scratch.bits.iter().all(|&w| w == 0),
+            "bitmap word left set {when}"
+        );
+    }
+
+    /// A fresh word of 64 distinct pairs matches the scalar kernel bit for
+    /// bit and leaves the scratch all-zero.
+    fn assert_next_word_matches_scalar(
+        sim: &PowerSimulator<'_>,
+        evaluator: &PackedEvaluator,
+        scratch: &mut EventScratch<u64>,
+        rng: &mut SmallRng,
+    ) {
+        let pairs: Vec<_> = (0..64).map(|_| pair(rng, evaluator.num_inputs())).collect();
+        let reports = run_word(sim, evaluator, scratch, &pairs, sim.event_budget()).unwrap();
+        for ((v1, v2), got) in pairs.iter().zip(&reports) {
+            let want = sim.cycle_report(v1, v2).unwrap();
+            assert_eq!(got, &want);
+            assert_eq!(got.power_mw.to_bits(), want.power_mw.to_bits());
+            assert_eq!(
+                got.switched_cap_ff.to_bits(),
+                want.switched_cap_ff.to_bits()
+            );
+        }
+        assert_scratch_clean(scratch, "after a successful word");
+    }
+
+    /// `EventBudgetExhausted` fired in the middle of a C6288 step — with
+    /// the drained word part-peeled, later words of the same slot still
+    /// pending and the other slot already holding next-step schedules —
+    /// leaves every mask and bitmap word zero, and the next words match
+    /// the scalar kernel.
+    #[test]
+    fn budget_error_mid_step_clears_every_slot() {
+        let c = generate(Iscas85::C6288, 7).unwrap();
+        let sim = PowerSimulator::new(&c, DelayModel::Unit, crate::PowerConfig::default());
+        let evaluator = PackedEvaluator::new(&c);
+        let mut rng = SmallRng::seed_from_u64(6288);
+        let (v1, v2) = pair(&mut rng, c.num_inputs());
+        let wave = Waveform::capture(&c, &v1, &v2, DelayModel::Unit).unwrap();
+        let evals = evaluations(&sim, &c, &wave);
+        assert_eq!(
+            evals.len() as u64,
+            sim.cycle_report(&v1, &v2).unwrap().events
+        );
+
+        // Transitions at `t` of nodes below the drained one have already
+        // scheduled their fanouts into the other slot (unit delay).
+        let fires = (0..evals.len())
+            .find(|&k| {
+                let (t, node) = evals[k];
+                let later = &evals[k + 1..];
+                let same_word = later.iter().any(|&(u, m)| u == t && m / 64 == node / 64);
+                let later_word = later.iter().any(|&(u, m)| u == t && m / 64 > node / 64);
+                let other_slot = wave.transitions().iter().any(|tr| {
+                    tr.time == t && tr.node.index() < node && !c.fanouts(tr.node).is_empty()
+                });
+                same_word && later_word && other_slot
+            })
+            .expect("C6288 pair with a mid-step drain");
+
+        // Every lane holds the same pair, so each lane's event count is the
+        // drain count and the budget check fires at drain `fires + 1`.
+        let same: Vec<_> = (0..64).map(|_| (v1.clone(), v2.clone())).collect();
+        let mut scratch = EventScratch::default();
+        let err = run_word(&sim, &evaluator, &mut scratch, &same, fires);
+        assert!(
+            matches!(err, Err(SimError::EventBudgetExhausted { budget }) if budget == fires),
+            "{err:?}"
+        );
+        assert_scratch_clean(&scratch, "after the budget error");
+        assert_next_word_matches_scalar(&sim, &evaluator, &mut scratch, &mut rng);
+        assert_next_word_matches_scalar(&sim, &evaluator, &mut scratch, &mut rng);
+
+        // The exact budget succeeds on the same word.
+        let reports = run_word(&sim, &evaluator, &mut scratch, &same, evals.len()).unwrap();
+        assert!(reports.iter().all(|r| r.events == evals.len() as u64));
+        assert_scratch_clean(&scratch, "after the exact budget");
+    }
 }

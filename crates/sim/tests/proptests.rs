@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation engine.
 
 use mpe_netlist::generator::random_dag;
-use mpe_netlist::CapacitanceModel;
+use mpe_netlist::{generate, CapacitanceModel, Iscas85};
 use mpe_sim::{CycleReport, DelayModel, PackedSimulator, PowerConfig, PowerSimulator};
 use rand::rngs::SmallRng;
 use rand::{check, Rng, SeedableRng};
@@ -103,6 +103,58 @@ fn packed_kernels_match_scalar_in_both_widths() {
             .collect();
         assert_packed_match_scalar(&sim, &pairs, &model.to_string());
     });
+}
+
+/// The packed event kernel keeps one bitmap word per 64 nodes in each
+/// wheel slot, so circuits of 63, 64 and 65 nodes and of 127, 128 and
+/// 129 nodes put the last node on either side of a word boundary. Unit
+/// delay gives a two-slot wheel, fanout delay a wheel of many slots, and
+/// every batch is a full 128-lane word plus a partial final word of 1,
+/// 63, 65 or 127 lanes (in 64-lane words: 1, 63, 1 and 63).
+#[test]
+fn packed_kernel_matches_scalar_at_bitmap_word_edges() {
+    check(4, |rng| {
+        for nodes in [63usize, 64, 65, 127, 128, 129] {
+            let inputs = rng.gen_range(4usize..12);
+            let seed = rng.gen_range(0u64..1000);
+            let c = random_dag("edge", inputs, 3, nodes - inputs, 8, seed).unwrap();
+            assert_eq!(c.num_nodes(), nodes);
+            for model in [DelayModel::Unit, DelayModel::fanout_default()] {
+                let sim = PowerSimulator::new(&c, model, PowerConfig::default());
+                for last in [1usize, 63, 65, 127] {
+                    let pairs: Vec<(Vec<bool>, Vec<bool>)> = (0..128 + last)
+                        .map(|_| (random_vector(rng, inputs), random_vector(rng, inputs)))
+                        .collect();
+                    let case = format!("{nodes} nodes, {model}, last word of {last}");
+                    assert_packed_match_scalar(&sim, &pairs, &case);
+                }
+            }
+        }
+    });
+}
+
+/// The packed event kernel on the glitch-heavy C6288 multiplier: dozens
+/// of bitmap words per slot, thousands of drains per word, under unit and
+/// fanout delay, with partial final words of 1, 63, 65 and 127 lanes.
+#[test]
+fn packed_kernel_matches_scalar_on_c6288() {
+    let c = generate(Iscas85::C6288, 7).unwrap();
+    let mut rng = SmallRng::seed_from_u64(6288);
+    let width = c.num_inputs();
+    for model in [DelayModel::Unit, DelayModel::fanout_default()] {
+        let sim = PowerSimulator::new(&c, model, PowerConfig::default());
+        for last in [1usize, 63, 65, 127] {
+            let pairs: Vec<(Vec<bool>, Vec<bool>)> = (0..last)
+                .map(|_| {
+                    (
+                        random_vector(&mut rng, width),
+                        random_vector(&mut rng, width),
+                    )
+                })
+                .collect();
+            assert_packed_match_scalar(&sim, &pairs, &format!("C6288, {model}, {last} pairs"));
+        }
+    }
 }
 
 /// Simulates `pairs` through both packed widths and checks every report
