@@ -674,6 +674,20 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_is_pinned() {
+        // A checkpoint resumes only under the fingerprint it was written
+        // with, so any change to these values makes every saved checkpoint
+        // unresumable: change them only alongside a release note saying so.
+        assert_eq!(
+            config_fingerprint(&EstimationConfig::default()),
+            0xb4cb_40a9_e2e0_edd7
+        );
+        let deployment =
+            EstimationConfig::for_deployment(0.05, 0.90, None, crate::config::SamplePolicy::Fail);
+        assert_eq!(config_fingerprint(&deployment), 0xf090_1a92_bf00_5812);
+    }
+
+    #[test]
     fn seal_and_checksum_detect_payload_tampering() {
         let mut cp = sample_checkpoint();
         cp.seal();

@@ -53,31 +53,11 @@ pub struct EstimationConfig {
     /// simulation succeeds; deployments against flaky oracles should pick
     /// [`SamplePolicy::Skip`] or [`SamplePolicy::Retry`].
     pub sample_policy: SamplePolicy,
-    /// What to do when the reversed-Weibull MLE stays degenerate after its
-    /// retry budget: error out (the paper's implicit behaviour) or degrade
-    /// down the estimator ladder (POT endpoint, then empirical quantile).
-    pub fallback: FallbackPolicy,
-    /// Retry budget for degenerate MLEs, in units of one hyper-sample's
-    /// cost (`n·m` draws). Each failed attempt is charged double the
-    /// previous one (1, 2, 4, … hyper-samples), so retries stop after
-    /// `⌊log₂(budget+1)⌋` attempts instead of burning a fixed count — the
-    /// default of 15 allows 4 attempts. A provably constant source bails
-    /// out after the first attempt regardless of budget.
-    pub mle_retry_budget: usize,
     /// Smallest physically plausible reading: finite readings below this
     /// are handled per [`sample_policy`](Self::sample_policy). The default
     /// `-∞` accepts any finite reading (preserving the estimator's shift
     /// equivariance for synthetic parents); power deployments set `0.0`.
     pub min_reading_mw: f64,
-    /// Zero-mean guard: when `|P̄|` is at or below this floor the relative
-    /// half-width `t·s/(√k·|P̄|)` is meaningless (division by ≈0) and the
-    /// stopping rule switches to the absolute criterion
-    /// [`absolute_error_mw`](Self::absolute_error_mw). Surfaced in
-    /// [`RunHealth::zero_mean_guard`](crate::RunHealth).
-    pub mean_floor_mw: f64,
-    /// Absolute half-width (mW) accepted by the stopping rule while the
-    /// zero-mean guard is active.
-    pub absolute_error_mw: f64,
 }
 
 /// Reaction of hyper-sample generation to source failures and invalid
@@ -151,23 +131,6 @@ impl SamplePolicy {
     }
 }
 
-/// What to do when the primary reversed-Weibull MLE cannot produce a
-/// hyper-sample estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FallbackPolicy {
-    /// Degrade down the estimator ladder: peaks-over-threshold GPD
-    /// endpoint over the raw draws, then the distribution-free empirical
-    /// quantile. The run keeps going and reports
-    /// [`RunStatus::Degraded`](crate::RunStatus) with per-sample
-    /// provenance instead of aborting.
-    #[default]
-    Degrade,
-    /// Raise [`MaxPowerError::HyperSampleFailed`](crate::MaxPowerError)
-    /// after the retry budget, discarding nothing but estimating nothing
-    /// either (the seed behaviour).
-    ErrorOut,
-}
-
 /// Bias-correction strategies for the hyper-sample estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BiasCorrection {
@@ -193,11 +156,7 @@ impl Default for EstimationConfig {
             finite_population: None,
             bias_correction: BiasCorrection::None,
             sample_policy: SamplePolicy::Fail,
-            fallback: FallbackPolicy::Degrade,
-            mle_retry_budget: 15,
             min_reading_mw: f64::NEG_INFINITY,
-            mean_floor_mw: 1e-9,
-            absolute_error_mw: 1e-6,
         }
     }
 }
@@ -283,17 +242,8 @@ impl EstimationConfig {
                 }
             }
         }
-        if self.mle_retry_budget == 0 {
-            return fail("mle_retry_budget must allow at least one attempt");
-        }
         if self.min_reading_mw.is_nan() {
             return fail("min_reading_mw must not be NaN");
-        }
-        if !(self.mean_floor_mw >= 0.0 && self.mean_floor_mw.is_finite()) {
-            return fail("mean_floor_mw must be finite and non-negative");
-        }
-        if !(self.absolute_error_mw > 0.0 && self.absolute_error_mw.is_finite()) {
-            return fail("absolute_error_mw must be finite and positive");
         }
         Ok(())
     }
@@ -353,16 +303,7 @@ mod tests {
         c.sample_policy = SamplePolicy::Retry { max_attempts: 0 };
         assert!(c.validate().is_err());
         let mut c = base;
-        c.mle_retry_budget = 0;
-        assert!(c.validate().is_err());
-        let mut c = base;
         c.min_reading_mw = f64::NAN;
-        assert!(c.validate().is_err());
-        let mut c = base;
-        c.mean_floor_mw = -1.0;
-        assert!(c.validate().is_err());
-        let mut c = base;
-        c.absolute_error_mw = 0.0;
         assert!(c.validate().is_err());
         let mut c = base;
         c.sample_policy = SamplePolicy::Retry { max_attempts: 8 };

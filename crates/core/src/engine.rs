@@ -70,6 +70,16 @@ const MAX_PANICS_PER_INDEX: usize = 3;
 /// single-worker runs never tick.
 const SUPERVISION_TICK: Duration = Duration::from_millis(100);
 
+/// Zero-mean guard: when `|P̄|` is at or below this floor (mW) the relative
+/// half-width `t·s/(√k·|P̄|)` divides by ≈0 and can never fire, so the
+/// stopping rule switches to the absolute criterion [`ABSOLUTE_ERROR_MW`]
+/// and flags [`RunHealth::zero_mean_guard`].
+const MEAN_FLOOR_MW: f64 = 1e-9;
+
+/// Absolute half-width (mW) the stopping rule accepts while the zero-mean
+/// guard is active.
+const ABSOLUTE_ERROR_MW: f64 = 1e-6;
+
 /// Live (deserialized) estimator state shared by fresh and resumed runs.
 pub(crate) struct RunState {
     estimates: Vec<f64>,
@@ -172,11 +182,11 @@ fn interval(
     let s2 = estimates.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / (k as f64 - 1.0);
     let t = StudentT::new((k - 1) as f64)?.two_sided_critical(config.confidence)?;
     let half = t * s2.sqrt() / (k as f64).sqrt();
-    let (relative, met) = if mean.abs() <= config.mean_floor_mw {
+    let (relative, met) = if mean.abs() <= MEAN_FLOOR_MW {
         // Relative width is undefined at a (near-)zero mean; fall back
         // to the absolute criterion and record that we did.
         health.zero_mean_guard = true;
-        (f64::INFINITY, half <= config.absolute_error_mw)
+        (f64::INFINITY, half <= ABSOLUTE_ERROR_MW)
     } else {
         let relative = half / mean.abs();
         (relative, relative <= config.relative_error)
@@ -232,23 +242,26 @@ struct Committer<'a> {
 }
 
 impl Committer<'_> {
-    /// Evaluates the stopping rule on the current state: `Some(estimate)`
-    /// when the run is over (target met, or the hyper-sample cap reached),
-    /// `None` when another hyper-sample is needed. Called before the first
-    /// draw too, so a resumed run that already satisfies its target
-    /// returns without drawing.
-    fn decide(&mut self) -> Result<Option<MaxPowerEstimate>, MaxPowerError> {
+    /// The t-interval of the committed estimates.
+    fn interval(&mut self) -> Result<Option<IntervalStats>, MaxPowerError> {
+        interval(&self.config, &self.state.estimates, &mut self.state.health)
+    }
+
+    /// Evaluates the stopping rule on the current state and its interval
+    /// `stats`: `Some(estimate)` when the run is over (target met, or the
+    /// hyper-sample cap reached), `None` when another hyper-sample is
+    /// needed. Called before the first draw too, so a resumed run that
+    /// already satisfies its target returns without drawing.
+    fn decide(&mut self, stats: Option<IntervalStats>) -> Option<MaxPowerEstimate> {
         let k = self.state.estimates.len();
-        let stats = interval(&self.config, &self.state.estimates, &mut self.state.health)?;
-        if let Some(s) = &stats {
-            let met = k >= self.config.min_hyper_samples && s.met;
-            if met || k >= self.config.max_hyper_samples {
-                self.telemetry.flush();
-                let st = std::mem::replace(&mut self.state, RunState::new());
-                return Ok(Some(finish(&self.config, st, s, met, None)));
-            }
+        let s = stats?;
+        let met = k >= self.config.min_hyper_samples && s.met;
+        if !(met || k >= self.config.max_hyper_samples) {
+            return None;
         }
-        Ok(None)
+        self.telemetry.flush();
+        let st = std::mem::replace(&mut self.state, RunState::new());
+        Some(finish(&self.config, st, &s, met, None))
     }
 
     /// Ends the run early on a supervision stop: the committed prefix
@@ -260,8 +273,7 @@ impl Committer<'_> {
         &mut self,
         reason: StopReason,
     ) -> Result<MaxPowerEstimate, MaxPowerError> {
-        let stats = interval(&self.config, &self.state.estimates, &mut self.state.health)?;
-        match stats {
+        match self.interval()? {
             Some(s) => {
                 self.telemetry.flush();
                 let st = std::mem::replace(&mut self.state, RunState::new());
@@ -276,8 +288,9 @@ impl Committer<'_> {
 
     /// Absorbs hyper-sample `k` (which must be the next index) into the
     /// run state: accounting, health, convergence gauges, the history
-    /// entry, and the checkpoint save.
-    fn commit(&mut self, hyper: HyperSample) -> Result<(), MaxPowerError> {
+    /// entry, and the checkpoint save. Returns the new interval for the
+    /// stopping rule.
+    fn commit(&mut self, hyper: HyperSample) -> Result<Option<IntervalStats>, MaxPowerError> {
         let st = &mut self.state;
         st.units_used += hyper.units_used;
         st.observed_max = st.observed_max.max(hyper.observed_max);
@@ -338,7 +351,7 @@ impl Committer<'_> {
             save(&cp);
             self.telemetry.counter(names::CHECKPOINT_SAVES, 1);
         }
-        Ok(())
+        Ok(stats)
     }
 
     /// Next hyper-sample index to generate.
@@ -428,7 +441,8 @@ pub(crate) fn run(session: &Session, opts: RunOptions<'_>, workers: Workers<'_>)
     let _run_span = telemetry.span(SpanKind::Run);
     // A resumed run that already satisfies its target (or is stopped
     // before its first draw) returns without generating anything.
-    if let Some(outcome) = coordinator.settle() {
+    let stats = coordinator.committer.interval()?;
+    if let Some(outcome) = coordinator.settle(stats) {
         return outcome;
     }
     match workers {
@@ -747,7 +761,7 @@ impl Coordinator<'_, '_> {
         while let Some(result) = self.buffer.remove(&self.committer.next_k()) {
             let outcome = match result {
                 Ok(hyper) => match self.committer.commit(hyper) {
-                    Ok(()) => self.settle(),
+                    Ok(stats) => self.settle(stats),
                     Err(e) => Some(Err(e)),
                 },
                 // A worker observed the cancellation mid-generation: the
@@ -765,13 +779,13 @@ impl Coordinator<'_, '_> {
         None
     }
 
-    /// The stopping rule, then the supervisor: run before the first draw
-    /// and after every commit, so a stop leaves exactly the committed
-    /// prefix.
-    fn settle(&mut self) -> Option<Outcome> {
-        match self.committer.decide() {
-            Ok(None) => self.check_supervisor(),
-            decided => decided.transpose(),
+    /// The stopping rule on the committed interval `stats`, then the
+    /// supervisor: run before the first draw and after every commit, so a
+    /// stop leaves exactly the committed prefix.
+    fn settle(&mut self, stats: Option<IntervalStats>) -> Option<Outcome> {
+        match self.committer.decide(stats) {
+            Some(estimate) => Some(Ok(estimate)),
+            None => self.check_supervisor(),
         }
     }
 

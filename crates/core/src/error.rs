@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use mpe_mle::MleError;
 use mpe_sim::SimError;
 use mpe_stats::StatsError;
 
@@ -44,15 +43,6 @@ pub enum MaxPowerError {
         /// Per-iteration convergence trace, for diagnosing *why* the run
         /// stalled (oscillating mean, slowly shrinking interval, …).
         history: Vec<EstimateHistoryEntry>,
-    },
-    /// Repeated MLE failures while generating a hyper-sample (degenerate
-    /// power data, e.g. a constant-power circuit) under
-    /// [`FallbackPolicy::ErrorOut`](crate::FallbackPolicy).
-    HyperSampleFailed {
-        /// The final MLE failure.
-        cause: MleError,
-        /// Fit attempts made (including the first).
-        attempts: usize,
     },
     /// A power source failed transiently (an injected fault, a crashed
     /// simulator process, a stalled measurement past its deadline).
@@ -130,12 +120,6 @@ impl fmt::Display for MaxPowerError {
                  after {units_used} units)",
                 100.0 * achieved_relative_error
             ),
-            MaxPowerError::HyperSampleFailed { cause, attempts } => {
-                write!(
-                    f,
-                    "hyper-sample generation failed after {attempts} attempts: {cause}"
-                )
-            }
             MaxPowerError::Source { message } => {
                 write!(f, "power source failure: {message}")
             }
@@ -177,7 +161,6 @@ impl fmt::Display for MaxPowerError {
 impl std::error::Error for MaxPowerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            MaxPowerError::HyperSampleFailed { cause, .. } => Some(cause),
             MaxPowerError::Sim(e) => Some(e),
             MaxPowerError::Stats(e) => Some(e),
             _ => None,

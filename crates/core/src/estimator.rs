@@ -20,12 +20,10 @@
 //!   best partial estimate tagged [`RunStatus::BudgetExhausted`]. Callers
 //!   that require convergence use
 //!   [`MaxPowerEstimate::into_converged`].
-//! * When the running mean is within
-//!   [`mean_floor_mw`](crate::EstimationConfig::mean_floor_mw) of zero the
-//!   relative criterion divides by ≈0 and can never fire; the stopping
-//!   rule switches to the absolute criterion
-//!   [`absolute_error_mw`](crate::EstimationConfig::absolute_error_mw) and
-//!   flags [`RunHealth::zero_mean_guard`].
+//! * When the running mean is within 1e-9 mW of zero the relative
+//!   criterion divides by ≈0 and can never fire; the stopping rule
+//!   switches to an absolute half-width of 1e-6 mW and flags
+//!   [`RunHealth::zero_mean_guard`].
 
 use crate::error::MaxPowerError;
 use crate::health::{EstimatorKind, RunHealth, RunStatus};
@@ -300,7 +298,6 @@ mod tests {
             r.gen::<f64>() * 2e-10 - 1e-10
         });
         let config = EstimationConfig {
-            absolute_error_mw: 1e-6,
             max_hyper_samples: 50,
             ..EstimationConfig::default()
         };

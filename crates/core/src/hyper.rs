@@ -20,15 +20,16 @@
 //!   fail fast, skip, or retry;
 //! * a degenerate set of sample maxima is detected *before* the MLE is
 //!   attempted, and a provably constant source (every raw draw identical)
-//!   bails out after a single sample instead of burning the full retry
+//!   bails out after a single attempt instead of burning the full retry
 //!   budget on fits that cannot succeed;
 //! * retries of a degenerate MLE charge an exponentially growing share of
-//!   [`mle_retry_budget`](crate::EstimationConfig::mle_retry_budget) so the
-//!   engine gives up in logarithmically many attempts;
-//! * when the MLE never converges, [`FallbackPolicy::Degrade`] walks the
-//!   estimator ladder — POT/GPD endpoint over the raw draws, then the
-//!   distribution-free empirical quantile — and records which rung
-//!   produced the estimate in [`HyperSample::estimator`].
+//!   a fixed budget of 15 hyper-sample costs (1 + 2 + 4 + 8), so
+//!   generation gives up after four attempts;
+//! * when the MLE never converges, generation walks the estimator ladder —
+//!   POT/GPD endpoint over the raw draws, then the distribution-free
+//!   empirical quantile — and records which rung produced the estimate in
+//!   [`HyperSample::estimator`]. A hyper-sample therefore never fails for
+//!   want of a fit.
 
 use rand::RngCore;
 
@@ -42,7 +43,7 @@ use mpe_stats::descriptive::quantile;
 use mpe_stats::dist::ContinuousDistribution;
 use mpe_stats::ks::ks_statistic;
 
-use crate::config::{BiasCorrection, EstimationConfig, FallbackPolicy, SamplePolicy};
+use crate::config::{BiasCorrection, EstimationConfig, SamplePolicy};
 use crate::error::MaxPowerError;
 use crate::health::{EstimatorKind, FitDiagnostics, FitReasonCode, HyperHealth};
 use crate::source::PowerSource;
@@ -50,6 +51,12 @@ use crate::source::PowerSource;
 /// Empirical quantile above which the POT fallback fits its GPD
 /// (it keeps the top 10 % of the raw draws as excesses).
 const POT_FALLBACK_QUANTILE: f64 = 0.9;
+
+/// Retry budget for degenerate MLEs, in units of one hyper-sample's cost
+/// (`n·m` draws). Attempt `k` is charged `2^(k−1)` (1, 2, 4, 8, …), so a
+/// budget of 15 allows four attempts before the fallback ladder runs. A
+/// provably constant source bails out after the first attempt regardless.
+const MLE_RETRY_BUDGET: usize = 15;
 
 /// One hyper-sample: a single maximum-power estimate
 /// (the paper's `P̂_{i,MAX}`).
@@ -250,7 +257,7 @@ impl<'a> HyperSampleContext<'a> {
 
 /// Emits the telemetry deltas accumulated in `health` since the given
 /// baseline. Called once per attempt so counters land near the work that
-/// caused them, without threading the handle through [`draw_reading`].
+/// caused them, without threading the handle through [`draw_sample`].
 fn emit_health_deltas(telemetry: &Telemetry, health: &HyperHealth, baseline: &HyperHealth) {
     telemetry.counter(
         names::SAMPLES_DISCARDED,
@@ -267,7 +274,7 @@ fn emit_health_deltas(telemetry: &Telemetry, health: &HyperHealth, baseline: &Hy
 }
 
 /// Generates one hyper-sample from the source (paper Figure 3), degrading
-/// gracefully per the configured policies.
+/// down the estimator ladder when the MLE cannot fit.
 ///
 /// The context carries the configuration and (optionally) a telemetry
 /// handle — see [`HyperSampleContext`] for what a traced run emits.
@@ -277,10 +284,11 @@ fn emit_health_deltas(telemetry: &Telemetry, health: &HyperHealth, baseline: &Hy
 /// * propagates source/simulation failures per
 ///   [`EstimationConfig::sample_policy`] (immediately under
 ///   [`SamplePolicy::Fail`], after the tolerance is exhausted otherwise);
-/// * [`MaxPowerError::HyperSampleFailed`] if the MLE stays degenerate
-///   through the retry budget *and*
-///   [`FallbackPolicy::ErrorOut`] is configured — under the default
-///   [`FallbackPolicy::Degrade`] a fallback estimate is returned instead.
+/// * [`MaxPowerError::Interrupted`] when the context's cancel token trips
+///   between two samples.
+///
+/// An MLE that stays degenerate through the retry budget is not an error:
+/// the fallback ladder produces the estimate instead.
 pub fn generate_hyper_sample(
     source: &mut dyn PowerSource,
     ctx: &HyperSampleContext<'_>,
@@ -303,7 +311,7 @@ pub fn generate_hyper_sample(
     let mut sample_buf: Vec<f64> = Vec::with_capacity(n);
     let mut batch_buf: Vec<f64> = Vec::with_capacity(n);
 
-    let (cause, last_maxima, fail_reason) = loop {
+    let (last_maxima, fail_reason) = loop {
         // Draw m samples of size n (each through the batched source
         // interface); record each sample's maximum.
         let mut maxima = Vec::with_capacity(m);
@@ -386,12 +394,10 @@ pub fn generate_hyper_sample(
         // Weibull likelihood no interior maximum, so don't pay for a fit
         // that must fail.
         let degenerate = maxima.windows(2).all(|w| w[0] == w[1]);
-        let failure: MleError = if degenerate {
+        let reason = if degenerate {
             health.degenerate_bailout = true;
             telemetry.counter(names::DEGENERATE_BAILOUTS, 1);
-            MleError::DegenerateSample {
-                reason: "all sample maxima identical",
-            }
+            FitReasonCode::DegenerateMaxima
         } else {
             match fit_reversed_weibull_traced(&maxima, telemetry) {
                 Ok(fit) => {
@@ -425,47 +431,41 @@ pub fn generate_hyper_sample(
                         diagnostics,
                     });
                 }
-                Err(e) => e,
+                Err(e) => fit_reason(&e),
             }
         };
         if constant {
             // Every raw draw identical: fresh draws cannot un-degenerate
             // the maxima, so retrying would only burn the budget.
             health.degenerate_bailout = true;
-            break (failure, maxima, FitReasonCode::ConstantSource);
+            break (maxima, FitReasonCode::ConstantSource);
         }
-        if charged >= config.mle_retry_budget {
-            let reason = fit_reason(&failure);
-            break (failure, maxima, reason);
+        if charged >= MLE_RETRY_BUDGET {
+            break (maxima, reason);
         }
     };
     health.mle_retries = attempts - 1;
-    match config.fallback {
-        FallbackPolicy::ErrorOut => Err(MaxPowerError::HyperSampleFailed { cause, attempts }),
-        FallbackPolicy::Degrade => {
-            let _fallback = telemetry.span(SpanKind::Fallback);
-            let degraded = degraded_hyper_sample(
-                all_draws,
-                last_maxima,
-                observed_max,
-                units_used,
-                health,
-                config,
-                fail_reason,
-            );
-            telemetry.counter(
-                match degraded.estimator {
-                    EstimatorKind::Pot => names::FALLBACK_POT,
-                    _ => names::FALLBACK_QUANTILE,
-                },
-                1,
-            );
-            Ok(degraded)
-        }
-    }
+    let _fallback = telemetry.span(SpanKind::Fallback);
+    let degraded = degraded_hyper_sample(
+        all_draws,
+        last_maxima,
+        observed_max,
+        units_used,
+        health,
+        config,
+        fail_reason,
+    );
+    telemetry.counter(
+        match degraded.estimator {
+            EstimatorKind::Pot => names::FALLBACK_POT,
+            _ => names::FALLBACK_QUANTILE,
+        },
+        1,
+    );
+    Ok(degraded)
 }
 
-/// Maps the final MLE failure to the audit-trail reason code recorded in
+/// Maps an MLE failure to the audit-trail reason code recorded in
 /// [`FitDiagnostics`]. The constant-source case is decided by the caller
 /// (it is a property of the raw draws, not of the fit error).
 fn fit_reason(cause: &MleError) -> FitReasonCode {
@@ -658,28 +658,10 @@ mod tests {
     }
 
     #[test]
-    fn constant_source_bails_after_one_attempt_under_error_out() {
-        // Constant power: every draw identical, so the pre-check proves no
-        // amount of retrying can help — exactly one attempt is spent
-        // (the seed burned MLE_RETRIES × n × m = 1500 draws here).
-        let mut source = FnSource::new(|_: &mut dyn RngCore| 5.0);
-        let config = EstimationConfig {
-            fallback: FallbackPolicy::ErrorOut,
-            ..EstimationConfig::default()
-        };
-        let mut rng = SmallRng::seed_from_u64(3);
-        let err = generate_hyper_sample(&mut source, &HyperSampleContext::new(&config), &mut rng);
-        assert!(matches!(
-            err,
-            Err(MaxPowerError::HyperSampleFailed { attempts: 1, .. })
-        ));
-    }
-
-    #[test]
     fn constant_source_degrades_to_quantile() {
-        // Under the default Degrade policy the same source yields the
-        // empirical-quantile fallback: estimate = the constant itself,
-        // after a single attempt's worth of draws.
+        // Constant power: every draw identical, so the pre-check proves no
+        // amount of retrying can help. One attempt is spent and the
+        // empirical-quantile fallback estimates the constant itself.
         let mut source = FnSource::new(|_: &mut dyn RngCore| 5.0);
         let config = EstimationConfig::default();
         let mut rng = SmallRng::seed_from_u64(3);
@@ -728,34 +710,24 @@ mod tests {
     #[test]
     fn retry_budget_is_exponential() {
         // Maxima degenerate forever but draws vary: the exponential charge
-        // (1+2+4+8 = 15) stops the loop after 4 attempts under the default
-        // budget of 15 hyper-sample costs.
-        let run = |budget: usize| {
-            let mut toggle = false;
-            let mut source = FnSource::new(move |_: &mut dyn RngCore| {
-                toggle = !toggle;
-                if toggle {
-                    1.0
-                } else {
-                    5.0
-                }
-            });
-            let config = EstimationConfig {
-                fallback: FallbackPolicy::ErrorOut,
-                mle_retry_budget: budget,
-                ..EstimationConfig::default()
-            };
-            let mut rng = SmallRng::seed_from_u64(5);
-            generate_hyper_sample(&mut source, &HyperSampleContext::new(&config), &mut rng)
-        };
-        match run(15) {
-            Err(MaxPowerError::HyperSampleFailed { attempts, .. }) => assert_eq!(attempts, 4),
-            other => panic!("expected HyperSampleFailed, got {other:?}"),
-        }
-        match run(1) {
-            Err(MaxPowerError::HyperSampleFailed { attempts, .. }) => assert_eq!(attempts, 1),
-            other => panic!("expected HyperSampleFailed, got {other:?}"),
-        }
+        // (1+2+4+8 = 15) stops the loop after 4 attempts under the budget
+        // of 15 hyper-sample costs, and the fallback ladder takes over.
+        let mut toggle = false;
+        let mut source = FnSource::new(move |_: &mut dyn RngCore| {
+            toggle = !toggle;
+            if toggle {
+                1.0
+            } else {
+                5.0
+            }
+        });
+        let config = EstimationConfig::default();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let h = generate_hyper_sample(&mut source, &HyperSampleContext::new(&config), &mut rng)
+            .unwrap();
+        assert_eq!(h.health.mle_retries, 3);
+        assert_eq!(h.units_used, 1200);
+        assert_ne!(h.estimator, EstimatorKind::Mle);
     }
 
     #[test]

@@ -214,9 +214,13 @@ impl Session {
     /// * [`MaxPowerError::InvalidConfig`] — bad configuration;
     /// * [`MaxPowerError::CheckpointMismatch`] — a resume checkpoint from a
     ///   different configuration, seed or schema version;
-    /// * source spawn, hyper-sample and simulation failures, as filtered
-    ///   by the configured [`SamplePolicy`](crate::SamplePolicy) and
-    ///   [`FallbackPolicy`](crate::FallbackPolicy).
+    /// * source spawn and simulation failures, as filtered by the
+    ///   configured [`SamplePolicy`](crate::SamplePolicy) (a degenerate
+    ///   MLE is not an error: the fallback ladder estimates instead);
+    /// * [`MaxPowerError::Panicked`] — a hyper-sample that panicked on
+    ///   every retry;
+    /// * [`MaxPowerError::Interrupted`] — a supervision stop with fewer
+    ///   than two committed hyper-samples.
     pub fn run<F: PowerSourceFactory>(
         &self,
         factory: &F,

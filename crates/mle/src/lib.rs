@@ -54,8 +54,5 @@ pub use error::MleError;
 pub use gumbel::{fit_gumbel, GumbelFit};
 pub use lsq::lsq_fit_reversed_weibull;
 pub use pot::{fit_pot, PotFit};
-pub use profile::{
-    fit_reversed_weibull, fit_reversed_weibull_traced, fit_reversed_weibull_with, FitOptions,
-    WeibullFit,
-};
+pub use profile::{fit_reversed_weibull, fit_reversed_weibull_traced, WeibullFit};
 pub use weibull2::{fit_weibull2, Weibull2Fit};

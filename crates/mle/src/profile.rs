@@ -7,34 +7,22 @@ use mpe_evt::ReversedWeibull;
 use mpe_stats::optimize::golden_section;
 use std::cell::RefCell;
 
-/// Tuning knobs for [`fit_reversed_weibull_with`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FitOptions {
-    /// Lower edge of the endpoint search, as a fraction of the sample range
-    /// above the sample maximum. Keeping this strictly positive avoids the
-    /// non-regular likelihood spike at `μ ↓ max xᵢ` that Smith's analysis
-    /// warns about for shapes below 1.
-    pub mu_lower_fraction: f64,
-    /// Upper edge of the endpoint search, as a multiple of the sample range
-    /// above the sample maximum.
-    pub mu_upper_fraction: f64,
-    /// Number of coarse grid probes of the profile likelihood before the
-    /// golden-section refinement (guards against non-unimodal profiles).
-    pub grid_points: usize,
-    /// Relative tolerance of the golden-section refinement.
-    pub tolerance: f64,
-}
+/// Lower edge of the endpoint search, as a fraction of the sample range
+/// above the sample maximum. Keeping this strictly positive avoids the
+/// non-regular likelihood spike at `μ ↓ max xᵢ` that Smith's analysis warns
+/// about for shapes below 1.
+const MU_LOWER_FRACTION: f64 = 1e-4;
 
-impl Default for FitOptions {
-    fn default() -> Self {
-        FitOptions {
-            mu_lower_fraction: 1e-4,
-            mu_upper_fraction: 4.0,
-            grid_points: 48,
-            tolerance: 1e-10,
-        }
-    }
-}
+/// Upper edge of the endpoint search, as a multiple of the sample range
+/// above the sample maximum.
+const MU_UPPER_FRACTION: f64 = 4.0;
+
+/// Coarse grid probes of the profile likelihood before the golden-section
+/// refinement (guards against non-unimodal profiles).
+const GRID_POINTS: usize = 48;
+
+/// Relative tolerance of the golden-section refinement.
+const TOLERANCE: f64 = 1e-10;
 
 /// A fitted three-parameter reversed Weibull with fit diagnostics.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +87,9 @@ impl Scratch {
 }
 
 /// Fits the generalized reversed Weibull `G(x; α, β, μ)` to `data` by
-/// profile maximum likelihood with default [`FitOptions`].
+/// profile maximum likelihood: a log-spaced grid scan of the endpoint `μ`
+/// over `[x_max + 1e-4·range, x_max + 4·range]`, refined by golden-section
+/// search around the best probe.
 ///
 /// In the paper's pipeline `data` is a set of `m` sample maxima `p_{i,MAX}`
 /// (blocks of `n = 30` simulated vector pairs); the fitted `μ̂` estimates the
@@ -111,7 +101,7 @@ impl Scratch {
 /// * [`MleError::DegenerateSample`] — zero sample range or non-finite data;
 /// * [`MleError::NoConvergence`] — no feasible profile point was found.
 pub fn fit_reversed_weibull(data: &[f64]) -> Result<WeibullFit, MleError> {
-    fit_reversed_weibull_with(data, &FitOptions::default())
+    fit_inner(data, &std::cell::Cell::new(0))
 }
 
 /// [`fit_reversed_weibull`] instrumented with telemetry: wraps the fit in
@@ -129,26 +119,12 @@ pub fn fit_reversed_weibull_traced(
 ) -> Result<WeibullFit, MleError> {
     let _span = telemetry.span(mpe_telemetry::SpanKind::Fit);
     let probes = std::cell::Cell::new(0u64);
-    let result = fit_inner(data, &FitOptions::default(), &probes);
+    let result = fit_inner(data, &probes);
     telemetry.counter(mpe_telemetry::names::MLE_GRID_PROBES, probes.get());
     result
 }
 
-/// [`fit_reversed_weibull`] with explicit [`FitOptions`].
-///
-/// # Errors
-///
-/// Same as [`fit_reversed_weibull`], plus
-/// [`MleError::DegenerateSample`] for inconsistent options.
-pub fn fit_reversed_weibull_with(data: &[f64], opts: &FitOptions) -> Result<WeibullFit, MleError> {
-    fit_inner(data, opts, &std::cell::Cell::new(0))
-}
-
-fn fit_inner(
-    data: &[f64],
-    opts: &FitOptions,
-    probes: &std::cell::Cell<u64>,
-) -> Result<WeibullFit, MleError> {
+fn fit_inner(data: &[f64], probes: &std::cell::Cell<u64>) -> Result<WeibullFit, MleError> {
     let m = data.len();
     if m < 5 {
         return Err(MleError::InsufficientData { needed: 5, got: m });
@@ -156,15 +132,6 @@ fn fit_inner(
     if data.iter().any(|v| !v.is_finite()) {
         return Err(MleError::DegenerateSample {
             reason: "data must be finite",
-        });
-    }
-    if !(opts.mu_lower_fraction > 0.0
-        && opts.mu_upper_fraction > opts.mu_lower_fraction
-        && opts.grid_points >= 4
-        && opts.tolerance > 0.0)
-    {
-        return Err(MleError::DegenerateSample {
-            reason: "invalid fit options",
         });
     }
     let x_max = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -179,17 +146,17 @@ fn fit_inner(
     // Coarse scan: log-spaced offsets μ − x_max ∈ [lo·range, hi·range].
     // The profile is usually unimodal but can develop a boundary spike for
     // shapes < 1; scanning first makes the refinement bracket trustworthy.
-    let ln_lo = opts.mu_lower_fraction.ln();
-    let ln_hi = opts.mu_upper_fraction.ln();
+    let ln_lo = MU_LOWER_FRACTION.ln();
+    let ln_hi = MU_UPPER_FRACTION.ln();
     let scratch = RefCell::new(Scratch {
-        fits: Vec::with_capacity(2 * opts.grid_points),
+        fits: Vec::with_capacity(2 * GRID_POINTS),
         ..Scratch::default()
     });
     let mut best_j = 0usize;
     let mut best_ll = f64::NEG_INFINITY;
-    let offsets: Vec<f64> = (0..opts.grid_points)
+    let offsets: Vec<f64> = (0..GRID_POINTS)
         .map(|j| {
-            let t = j as f64 / (opts.grid_points - 1) as f64;
+            let t = j as f64 / (GRID_POINTS - 1) as f64;
             range * (ln_lo + t * (ln_hi - ln_lo)).exp()
         })
         .collect();
@@ -219,7 +186,7 @@ fn fit_inner(
             },
             lo,
             hi,
-            opts.tolerance,
+            TOLERANCE,
         )
         .map_err(|_| MleError::NoConvergence {
             stage: "profile refinement",
@@ -355,21 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_options_rejected() {
-        let data: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let opts = FitOptions {
-            mu_lower_fraction: 0.0,
-            ..FitOptions::default()
-        };
-        assert!(fit_reversed_weibull_with(&data, &opts).is_err());
-        let opts = FitOptions {
-            grid_points: 2,
-            ..FitOptions::default()
-        };
-        assert!(fit_reversed_weibull_with(&data, &opts).is_err());
-    }
-
-    #[test]
     fn traced_fit_matches_plain_and_counts_probes() {
         let truth = ReversedWeibull::new(3.0, 1.0, 2.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(31);
@@ -380,8 +332,7 @@ mod tests {
         assert_eq!(plain.distribution, traced.distribution);
         let snap = telemetry.snapshot();
         assert!(
-            snap.counter(mpe_telemetry::names::MLE_GRID_PROBES)
-                >= FitOptions::default().grid_points as u64,
+            snap.counter(mpe_telemetry::names::MLE_GRID_PROBES) >= GRID_POINTS as u64,
             "at least the grid scan must be counted"
         );
         assert_eq!(snap.phase(mpe_telemetry::SpanKind::Fit).count, 1);

@@ -92,7 +92,12 @@ fn checkpointed_estimate_resumes_to_identical_result() {
     let dir = std::env::temp_dir().join("mpe_cli_test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("c432.ckpt");
-    let _ = std::fs::remove_file(&path);
+    let path = path.to_str().expect("utf8 path");
+    // A stale checkpoint or backup from another build would be recovered
+    // by the first run and refused for its config fingerprint.
+    for stale in [path.to_string(), format!("{path}.bak")] {
+        let _ = std::fs::remove_file(stale);
+    }
     let args = [
         "estimate",
         "--circuit",
@@ -101,12 +106,15 @@ fn checkpointed_estimate_resumes_to_identical_result() {
         "0.15",
         "--json",
         "--checkpoint",
-        path.to_str().expect("utf8 path"),
+        path,
     ];
     // First run: converges and leaves its final checkpoint behind.
     let (ok, first, stderr) = run(&args);
     assert!(ok, "{stderr}");
-    assert!(path.exists(), "checkpoint file written");
+    assert!(
+        std::path::Path::new(path).exists(),
+        "checkpoint file written"
+    );
     // Second run: resumes from the completed checkpoint — no new
     // simulation, identical result.
     let (ok, second, stderr) = run(&args);
@@ -116,7 +124,9 @@ fn checkpointed_estimate_resumes_to_identical_result() {
     let b = maxpower::EstimateReport::from_json(&second).expect("valid report");
     assert_eq!(a.estimate, b.estimate);
     assert_eq!(a.units_used, b.units_used);
-    let _ = std::fs::remove_file(&path);
+    for stale in [path.to_string(), format!("{path}.bak")] {
+        let _ = std::fs::remove_file(stale);
+    }
 }
 
 #[test]
