@@ -254,8 +254,10 @@ impl KernelRow {
 
 /// Timed repetitions per row. The kernels run in turn within each
 /// repetition, and each records its fastest run, so a burst of load on a
-/// shared host costs one repetition rather than the row.
-const REPETITIONS: usize = 3;
+/// shared host costs one repetition rather than the row. At three, rows
+/// of unchanged code moved by up to 2.3× between runs of one binary on a
+/// shared 2-vCPU host.
+const REPETITIONS: usize = 7;
 
 /// Times one packed width on a prepared pair set and checks every report
 /// field (power, capacitance, toggles, events, settle time) against the

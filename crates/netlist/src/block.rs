@@ -67,8 +67,12 @@ pub trait Block:
     /// True when no lane is set.
     fn is_zero(self) -> bool;
 
+    /// Every lane `bit`: [`Block::ONES`] or [`Block::ZERO`], without a
+    /// branch.
+    fn splat(bit: bool) -> Self;
+
     /// Lanes `8k..8k + 8` as one byte, lane `8k` in bit 0
-    /// (`k < Self::LANES / 8`). Lets per-lane counters take a whole word
+    /// (`k < Self::LANES / 8`). Lets per-lane counters read a whole word
     /// a byte at a time instead of peeling it lane by lane.
     fn byte(self, k: usize) -> u8;
 }
@@ -117,6 +121,11 @@ macro_rules! impl_block_for_uint {
             }
 
             #[inline]
+            fn splat(bit: bool) -> Self {
+                <$t>::from(bit).wrapping_neg()
+            }
+
+            #[inline]
             fn byte(self, k: usize) -> u8 {
                 (self >> (8 * k)) as u8
             }
@@ -135,6 +144,8 @@ mod tests {
         assert!(!B::ONES.is_zero());
         assert_eq!(B::low_mask(B::LANES), B::ONES);
         assert_eq!(B::low_mask(0), B::ZERO);
+        assert_eq!(B::splat(true), B::ONES);
+        assert_eq!(B::splat(false), B::ZERO);
         for lane in [0, 1, B::LANES / 2, B::LANES - 1] {
             let m = B::lane_mask(lane);
             assert!(m.get(lane));

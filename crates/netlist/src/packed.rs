@@ -16,6 +16,12 @@
 //! The node order is the circuit's existing topological order, so a single
 //! forward sweep suffices — exactly like [`Circuit::evaluate_into`], just
 //! `LANES` wide.
+//!
+//! Gates of one or two inputs — all of the generated C6288 multiplier, and
+//! most gates elsewhere — are evaluated without a branch on their kind:
+//! a per-node `(a, b, op)` table turns each into
+//! `((a & b) & and) ^ ((a ^ b) & xor) ^ invert`, with OR as AND ⊕ XOR.
+//! Only gates of three or more inputs fold their CSR fan-in by kind.
 
 use crate::block::Block;
 use crate::circuit::Circuit;
@@ -25,16 +31,60 @@ use crate::gate::GateKind;
 /// kept for callers that are not generic over [`Block`].
 pub const LANES: usize = u64::BITS as usize;
 
+/// `TwoInput::op` bit: the gate ANDs its two inputs.
+const AND: u8 = 1;
+/// `TwoInput::op` bit: the gate XORs its two inputs (with [`AND`]: OR).
+const XOR: u8 = 2;
+/// `TwoInput::op` bit: the gate inverts its result.
+const INVERT: u8 = 4;
+/// `TwoInput::op` bit: three or more inputs, evaluated by a CSR fold.
+const WIDE: u8 = 8;
+
+/// A gate of one or two inputs as one formula: lanes evaluate to
+/// `((a & b) & and) ^ ((a ^ b) & xor) ^ invert`, where `and`, `xor` and
+/// `invert` are all-ones or all-zero words picked by the `op` bits. OR is
+/// AND ⊕ XOR, so it sets both. A one-input gate reads its fan-in as both
+/// `a` and `b`, where `a & b = a` and `a ^ b = 0`, and an input node sets
+/// no bit and evaluates to zero, as [`eval_packed`] does. Gates of three
+/// or more inputs set [`WIDE`] instead.
+#[derive(Debug, Clone, Copy)]
+struct TwoInput {
+    a: u32,
+    b: u32,
+    op: u8,
+}
+
+impl TwoInput {
+    fn new(kind: GateKind, fanin: &[u32]) -> TwoInput {
+        let invert = match kind {
+            GateKind::Not | GateKind::Nand | GateKind::Nor | GateKind::Xnor => INVERT,
+            _ => 0,
+        };
+        let (a, b, op) = match (kind, fanin) {
+            (GateKind::Input, _) => (0, 0, 0),
+            (GateKind::Buf | GateKind::Not, &[a, ..]) | (_, &[a]) => (a, a, AND | invert),
+            (GateKind::And | GateKind::Nand, &[a, b]) => (a, b, AND | invert),
+            (GateKind::Or | GateKind::Nor, &[a, b]) => (a, b, AND | XOR | invert),
+            (GateKind::Xor | GateKind::Xnor, &[a, b]) => (a, b, XOR | invert),
+            _ => (0, 0, WIDE),
+        };
+        TwoInput { a, b, op }
+    }
+}
+
 /// A CSR-flattened circuit with a word-level evaluator.
 ///
 /// Construction copies the circuit's structure into four flat arrays (fan-in
-/// and fanout adjacency in CSR form) plus per-node gate kinds; evaluation
-/// then touches only contiguous memory. The evaluator is independent of the
-/// source [`Circuit`]'s lifetime.
+/// and fanout adjacency in CSR form) plus per-node gate kinds and a compact
+/// per-node table of the one- and two-input gates; evaluation then touches
+/// only contiguous memory. The evaluator is independent of the source
+/// [`Circuit`]'s lifetime.
 #[derive(Debug, Clone)]
 pub struct PackedEvaluator {
     num_inputs: usize,
     kinds: Vec<GateKind>,
+    /// Node `i` as a [`TwoInput`] formula, or [`WIDE`].
+    gates: Vec<TwoInput>,
     /// Primary input node indices, in declaration order.
     input_ids: Vec<u32>,
     /// CSR fan-in: node `i`'s fan-ins are `fanin[fanin_offsets[i]..fanin_offsets[i+1]]`.
@@ -63,9 +113,16 @@ impl PackedEvaluator {
             fanout.extend(circuit.fanouts(id).iter().map(|f| f.index() as u32));
             fanout_offsets.push(fanout.len() as u32);
         }
+        let gates = (0..n)
+            .map(|i| {
+                let fanin = &fanin[fanin_offsets[i] as usize..fanin_offsets[i + 1] as usize];
+                TwoInput::new(kinds[i], fanin)
+            })
+            .collect();
         PackedEvaluator {
             num_inputs: circuit.num_inputs(),
             kinds,
+            gates,
             input_ids: circuit.inputs().iter().map(|i| i.index() as u32).collect(),
             fanin_offsets,
             fanin,
@@ -132,11 +189,10 @@ impl PackedEvaluator {
             values[id as usize] = w;
         }
         for i in 0..self.kinds.len() {
-            let kind = self.kinds[i];
-            if kind == GateKind::Input {
+            if self.kinds[i] == GateKind::Input {
                 continue;
             }
-            values[i] = eval_packed(kind, self.fanin_of(i), values);
+            values[i] = eval_node(self, i, values);
         }
     }
 
@@ -211,9 +267,20 @@ pub(crate) fn eval_packed<B: Block>(kind: GateKind, fanin: &[u32], values: &[B])
 /// event kernels re-evaluate single gates out of topological order, so the
 /// per-gate word op is exposed alongside the full-sweep
 /// [`PackedEvaluator::evaluate_packed`].
+///
+/// A gate of one or two inputs is one branch-free formula of its
+/// `(a, b, op)` table entry, whatever its kind; only wider gates fold
+/// their CSR fan-in by kind.
 #[inline]
 pub fn eval_node<B: Block>(evaluator: &PackedEvaluator, node: usize, values: &[B]) -> B {
-    eval_packed(evaluator.kind(node), evaluator.fanin_of(node), values)
+    let gate = evaluator.gates[node];
+    if gate.op & WIDE != 0 {
+        return eval_packed(evaluator.kind(node), evaluator.fanin_of(node), values);
+    }
+    let (a, b) = (values[gate.a as usize], values[gate.b as usize]);
+    ((a & b) & B::splat(gate.op & AND != 0))
+        ^ ((a ^ b) & B::splat(gate.op & XOR != 0))
+        ^ B::splat(gate.op & INVERT != 0)
 }
 
 /// Scalar reference for documentation and tests: evaluates one lane of a
@@ -351,6 +418,120 @@ mod tests {
             let low = eval_node(&pe, i, &values) & 0xF;
             assert_eq!(low, values[i] & 0xF, "node {i}");
         }
+    }
+
+    /// A cheap LCG word stream (the crate has no RNG dependency).
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state
+    }
+
+    fn random_word<B: Block>(state: &mut u64) -> B {
+        let mut w = B::ZERO;
+        for lane in 0..B::LANES {
+            if lcg(state) >> 63 == 1 {
+                w |= B::lane_mask(lane);
+            }
+        }
+        w
+    }
+
+    /// An evaluator of `inputs` input nodes and one gate of `kind` over
+    /// `fanin`, built field by field: the circuit builder would reject
+    /// fan-ins outside a kind's arity, which the table must still handle
+    /// as the kind-wise fold does.
+    fn single_gate(inputs: usize, kind: GateKind, fanin: &[u32]) -> PackedEvaluator {
+        let mut kinds = vec![GateKind::Input; inputs];
+        kinds.push(kind);
+        let mut gates: Vec<_> = (0..inputs)
+            .map(|_| TwoInput::new(GateKind::Input, &[]))
+            .collect();
+        gates.push(TwoInput::new(kind, fanin));
+        let mut fanin_offsets = vec![0; inputs + 1];
+        fanin_offsets.push(fanin.len() as u32);
+        PackedEvaluator {
+            num_inputs: inputs,
+            kinds,
+            gates,
+            input_ids: (0..inputs as u32).collect(),
+            fanin_offsets,
+            fanin: fanin.to_vec(),
+            fanout_offsets: vec![0; inputs + 2],
+            fanout: Vec::new(),
+        }
+    }
+
+    const KINDS: [GateKind; 9] = [
+        GateKind::Input,
+        GateKind::Buf,
+        GateKind::Not,
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+    ];
+
+    /// The two-input table plus the wide fold equals the kind-wise fold
+    /// for every kind at fan-ins 1, 2 and wider, repeated fan-ins included.
+    fn gate_table_matches_kinds<B: Block>() {
+        const INPUTS: usize = 6;
+        let mut state = 0x5EED_u64;
+        for kind in KINDS {
+            for fan_in in [0, 1, 2, 3, 4, 16] {
+                if (kind == GateKind::Input) != (fan_in == 0) {
+                    continue;
+                }
+                for _ in 0..20 {
+                    let fanin: Vec<u32> = (0..fan_in)
+                        .map(|_| (lcg(&mut state) >> 33) as u32 % INPUTS as u32)
+                        .collect();
+                    let pe = single_gate(INPUTS, kind, &fanin);
+                    let mut values: Vec<B> =
+                        (0..=INPUTS).map(|_| random_word(&mut state)).collect();
+                    values[INPUTS] = B::ZERO;
+                    assert_eq!(
+                        eval_node(&pe, INPUTS, &values),
+                        eval_packed(kind, &fanin, &values),
+                        "{kind:?} over {fanin:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gate_table_matches_every_kind_in_both_widths() {
+        gate_table_matches_kinds::<u64>();
+        gate_table_matches_kinds::<u128>();
+    }
+
+    /// On C3540, whose generated gates have one to sixteen inputs, every
+    /// node's table evaluation equals the kind-wise fold over random
+    /// node values.
+    fn gate_table_matches_c3540<B: Block>() {
+        let c = crate::generate(crate::Iscas85::C3540, 7).unwrap();
+        let pe = PackedEvaluator::new(&c);
+        let fan_ins: Vec<usize> = (0..pe.num_nodes()).map(|i| pe.fanin_of(i).len()).collect();
+        assert!(fan_ins.contains(&1) && fan_ins.contains(&2));
+        assert!(fan_ins.iter().any(|&f| f >= 3), "no wide gate");
+        let mut state = 3540;
+        let values: Vec<B> = (0..pe.num_nodes())
+            .map(|_| random_word(&mut state))
+            .collect();
+        for i in 0..pe.num_nodes() {
+            let want = eval_packed(pe.kind(i), pe.fanin_of(i), &values);
+            assert_eq!(eval_node(&pe, i, &values), want, "node {i}");
+        }
+    }
+
+    #[test]
+    fn gate_table_matches_c3540_in_both_widths() {
+        gate_table_matches_c3540::<u64>();
+        gate_table_matches_c3540::<u128>();
     }
 
     #[test]

@@ -1,9 +1,21 @@
 //! Per-lane sums of a packed word, fed one lane mask at a time.
 //!
 //! Both packed kernels report, per lane, the number of output toggles and
-//! the switched capacitance Σ `caps[node]` over those toggles. The scalar
-//! kernel adds the capacitances as `f64` in its (time, node) order, and
-//! the packed kernels must reproduce that sum bit for bit.
+//! the switched capacitance Σ `caps[node]` over those toggles; the event
+//! kernel also counts each lane's events. The scalar kernel adds the
+//! capacitances as `f64` in its (time, node) order, and the packed kernels
+//! must reproduce that sum bit for bit.
+//!
+//! **Lanes are counted bit-sliced.** A [`SlicedCounter`] keeps plane `i`
+//! of every lane's count in one word: bit `l` of `planes[i]` is bit `i`
+//! of lane `l`'s count. Masks are buffered sixteen at a time and added
+//! through a Harley–Seal carry-save adder tree — fifteen word-wide
+//! full adders, whose carry out of bit 4 ripples into planes 4–7 — so a
+//! mask costs about one word operation per plane, however many of its
+//! lanes are set. Before any count could reach 256, and at word end, the
+//! planes are folded into per-lane integer totals. This one counter
+//! serves the event counts, each capacitance class and the lane walk's
+//! toggles.
 //!
 //! **Whole-number tables are summed a mask at a time.** When every node
 //! capacitance is a finite, non-negative whole number of fF, and the
@@ -13,10 +25,9 @@
 //! default [`CapacitanceModel`] gives such tables (the generated ISCAS-85
 //! profiles have 4 to 58 distinct values, the largest 107 fF). There,
 //! [`CapClasses`] groups the nodes by capacitance value and [`ClassSum`]
-//! counts each changed mask into its node's class with byte-sliced
-//! counters, eight lanes per table lookup; the counts are folded into
-//! per-lane integer toggles and capacitance every 255 adds per class and
-//! at word end.
+//! counts each changed mask into its node's class; a fold adds each
+//! lane's class count to its toggles and count × value to its
+//! capacitance.
 //!
 //! **Any other table walks the lanes.** [`LaneWalk`] adds `caps[node]` to
 //! each changed lane one lane at a time, in the order the kernel visits
@@ -25,8 +36,6 @@
 //! in [`CapTable::new`].
 //!
 //! [`CapacitanceModel`]: mpe_netlist::CapacitanceModel
-
-use std::marker::PhantomData;
 
 use mpe_netlist::Block;
 
@@ -42,9 +51,21 @@ const EXACT_LIMIT: u64 = 1 << 53;
 /// by binary search.
 const DENSE_VALUES: u64 = 1 << 16;
 
+/// Masks a [`SlicedCounter`] buffers before one carry-save block add.
+const BLOCK: usize = 16;
+
+/// Bit planes of a [`SlicedCounter`]: per-lane counts up to 255.
+const PLANES: usize = 8;
+
+/// Blocks a [`SlicedCounter`] takes between folds. Fifteen full blocks
+/// count at most 240 per lane, and a flush adds at most fifteen buffered
+/// masks on top, so every count stays within a byte.
+const BLOCKS_PER_FOLD: u32 = 15;
+
 /// `SPREAD[b]` holds bit `i` of `b` as byte `i`: eight one-byte 0/1
-/// counters, so adding `SPREAD[mask.byte(k)]` to a `u64` counts lanes
-/// `8k..8k + 8` of `mask` at once.
+/// counters. Unslicing a byte of lanes `8k..8k + 8` of plane `p` is
+/// `SPREAD[planes[p].byte(k)] << p`; a buffered mask adds
+/// `SPREAD[mask.byte(k)]`.
 const SPREAD: [u64; 256] = {
     let mut table = [0u64; 256];
     let mut b = 0;
@@ -59,55 +80,130 @@ const SPREAD: [u64; 256] = {
     table
 };
 
-/// Adds one to byte `i` of `acc[k]` for every lane `8k + i` set in `mask`.
-#[inline]
-fn spread_add<B: Block>(acc: &mut [u64], mask: B) {
-    for (k, acc) in acc[..B::LANES / 8].iter_mut().enumerate() {
-        *acc += SPREAD[mask.byte(k) as usize];
-    }
+/// One carry-save (full) adder per lane: `(carry, sum)` of `a + b + c`.
+#[inline(always)]
+fn csa<B: Block>(a: B, b: B, c: B) -> (B, B) {
+    let u = a ^ b;
+    ((a & b) | (u & c), u ^ c)
 }
 
-/// Exact per-lane counts fed one lane mask at a time.
+/// Adds `a + b` into the plane `sum` and returns the carry into the next
+/// plane.
+#[inline(always)]
+fn add_into<B: Block>(sum: &mut B, a: B, b: B) -> B {
+    let (carry, s) = csa(*sum, a, b);
+    *sum = s;
+    carry
+}
+
+/// Exact per-lane counts of a stream of lane masks, bit-sliced.
 ///
-/// Byte `i` of `bytes[k]` counts lane `8k + i` since the last flush. A
-/// byte can take 255 adds before it would overflow, so every 255th add
-/// flushes the bytes into `totals`; read `totals` only after a
-/// [`LaneCounter::flush`].
-pub(crate) struct LaneCounter {
-    bytes: [u64; MAX_LANES / 8],
-    adds: u32,
-    pub(crate) totals: [u64; MAX_LANES],
+/// [`SlicedCounter::add`] buffers a mask; every sixteenth goes through
+/// the carry-save tree into `planes`. Once `add` returns `true` the counts
+/// must be folded out with [`SlicedCounter::fold`] before the next add.
+/// A folded counter is all-zero again, so a counter can persist between
+/// words without being re-zeroed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlicedCounter<B> {
+    /// `planes[i]` holds bit `i` of every lane's count.
+    planes: [B; PLANES],
+    /// The masks of the block being filled; `pending[..len]` are live.
+    pending: [B; BLOCK],
+    len: u32,
+    /// Blocks added into `planes` since the last fold.
+    blocks: u32,
 }
 
-impl LaneCounter {
-    pub(crate) fn new() -> LaneCounter {
-        LaneCounter {
-            bytes: [0; MAX_LANES / 8],
-            adds: 0,
-            totals: [0; MAX_LANES],
-        }
-    }
+impl<B: Block> SlicedCounter<B> {
+    /// A counter at zero.
+    pub(crate) const ZERO: SlicedCounter<B> = SlicedCounter {
+        planes: [B::ZERO; PLANES],
+        pending: [B::ZERO; BLOCK],
+        len: 0,
+        blocks: 0,
+    };
 
-    /// Adds one to every lane set in `mask`.
+    /// Adds one to every lane set in `mask`. Returns `true` when the
+    /// counter must be folded before the next add.
     #[inline]
-    pub(crate) fn add<B: Block>(&mut self, mask: B) {
-        spread_add(&mut self.bytes, mask);
-        self.adds += 1;
-        if self.adds == u32::from(u8::MAX) {
-            self.flush::<B>();
+    pub(crate) fn add(&mut self, mask: B) -> bool {
+        self.pending[self.len as usize % BLOCK] = mask;
+        self.len += 1;
+        if self.len < BLOCK as u32 {
+            return false;
         }
+        self.add_block();
+        self.len = 0;
+        self.blocks += 1;
+        self.blocks == BLOCKS_PER_FOLD
     }
 
-    /// Moves the byte counts into `totals`.
-    pub(crate) fn flush<B: Block>(&mut self) {
-        let lanes = self.totals[..B::LANES].chunks_exact_mut(8);
-        for (acc, totals) in self.bytes.iter_mut().zip(lanes) {
-            for (i, total) in totals.iter_mut().enumerate() {
-                *total += (*acc >> (8 * i)) & 0xff;
-            }
-            *acc = 0;
+    /// True when some mask has been added since the last fold.
+    #[inline]
+    pub(crate) fn is_dirty(&self) -> bool {
+        self.len > 0 || self.blocks > 0
+    }
+
+    /// Adds the sixteen buffered masks into the planes: a Harley–Seal
+    /// tree of fifteen carry-save adders keeps planes 0–3 as its running
+    /// ones, twos, fours and eights and yields a carry of weight 16,
+    /// which ripples through planes 4–7.
+    #[inline(never)]
+    fn add_block(&mut self) {
+        let d = &self.pending;
+        let [mut ones, mut twos, mut fours, mut eights, ..] = self.planes;
+        let mut quad = |i: usize| {
+            let twos_a = add_into(&mut ones, d[i], d[i + 1]);
+            let twos_b = add_into(&mut ones, d[i + 2], d[i + 3]);
+            add_into(&mut twos, twos_a, twos_b)
+        };
+        let (fours_a, fours_b) = (quad(0), quad(4));
+        let (fours_c, fours_d) = (quad(8), quad(12));
+        let eights_a = add_into(&mut fours, fours_a, fours_b);
+        let eights_b = add_into(&mut fours, fours_c, fours_d);
+        let mut carry = add_into(&mut eights, eights_a, eights_b);
+        self.planes[..4].copy_from_slice(&[ones, twos, fours, eights]);
+        for plane in &mut self.planes[4..] {
+            let next = *plane & carry;
+            *plane ^= carry;
+            carry = next;
         }
-        self.adds = 0;
+        debug_assert!(carry.is_zero(), "a lane count passed 255");
+    }
+
+    /// Adds every lane's count since the last fold to `totals[lane]` and
+    /// zeroes the counter. Out of line, so the rare fold leaves one copy
+    /// per width rather than an unrolled unslice at every call site.
+    #[inline(never)]
+    pub(crate) fn fold_into(&mut self, totals: &mut [u64; MAX_LANES]) {
+        self.fold(|lane, count| totals[lane] += count);
+    }
+
+    /// Calls `f(lane, count)` for every lane below `B::LANES` with its
+    /// count since the last fold, buffered masks included, and zeroes the
+    /// counter.
+    pub(crate) fn fold(&mut self, mut f: impl FnMut(usize, u64)) {
+        let buffered = &self.pending[..self.len as usize];
+        let sliced = self.blocks > 0;
+        for k in 0..B::LANES / 8 {
+            let mut bytes = 0u64;
+            if sliced {
+                for (i, plane) in self.planes.iter().enumerate() {
+                    bytes += SPREAD[plane.byte(k) as usize] << i;
+                }
+            }
+            for mask in buffered {
+                bytes += SPREAD[mask.byte(k) as usize];
+            }
+            for i in 0..8 {
+                f(8 * k + i, (bytes >> (8 * i)) & 0xff);
+            }
+        }
+        if sliced {
+            self.planes = [B::ZERO; PLANES];
+        }
+        self.len = 0;
+        self.blocks = 0;
     }
 }
 
@@ -204,65 +300,65 @@ pub(crate) trait LaneSums<B: Block> {
     /// Counts one toggle of `node` in every lane set in `mask`.
     fn add(&mut self, node: usize, mask: B);
 
-    /// Folds every pending count into the per-lane totals.
+    /// Folds every pending count into the per-lane totals, leaving every
+    /// counter zero — also when a word ends early on an error.
     fn flush(&mut self);
 
     /// `(switched_cap_ff, toggles)` of `lane`, valid after a flush.
     fn lane(&self, lane: usize) -> (f64, u64);
 }
 
-/// Reusable byte counters of [`ClassSum`], `B::LANES / 8` words per class.
+/// The per-class counters of [`ClassSum`], one per capacitance class.
+/// They stay zero between words, so a word starts without re-zeroing them.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ClassScratch {
-    bytes: Vec<u64>,
-    adds: Vec<u32>,
+pub(crate) struct ClassScratch<B> {
+    counters: Vec<SlicedCounter<B>>,
+}
+
+impl<B: Block> ClassScratch<B> {
+    /// True when every class counter is zero, as between words.
+    pub(crate) fn is_zero(&self) -> bool {
+        self.counters.iter().all(|c| !c.is_dirty())
+    }
 }
 
 /// Toggle counts per capacitance class, folded into exact integer sums.
 pub(crate) struct ClassSum<'a, B> {
     classes: &'a CapClasses,
-    /// Byte-sliced lane counts of class `c` in
-    /// `bytes[c * B::LANES / 8..(c + 1) * B::LANES / 8]`.
-    bytes: &'a mut [u64],
-    /// Adds per class since its last fold.
-    adds: &'a mut [u32],
+    /// Lane counts of class `c` in `counters[c]`, all zero at word start.
+    counters: &'a mut [SlicedCounter<B>],
     toggles: [u64; MAX_LANES],
     cap: [u64; MAX_LANES],
-    lanes: PhantomData<B>,
 }
 
 impl<'a, B: Block> ClassSum<'a, B> {
     /// An all-zero sum over `classes`, counting in `scratch`.
-    pub(crate) fn new(classes: &'a CapClasses, scratch: &'a mut ClassScratch) -> ClassSum<'a, B> {
-        let words = classes.len() * (B::LANES / 8);
-        scratch.bytes.clear();
-        scratch.bytes.resize(words, 0);
-        scratch.adds.clear();
-        scratch.adds.resize(classes.len(), 0);
+    pub(crate) fn new(
+        classes: &'a CapClasses,
+        scratch: &'a mut ClassScratch<B>,
+    ) -> ClassSum<'a, B> {
+        scratch.counters.resize(classes.len(), SlicedCounter::ZERO);
+        debug_assert!(
+            scratch.is_zero(),
+            "class counters left dirty by an earlier word"
+        );
         ClassSum {
             classes,
-            bytes: &mut scratch.bytes,
-            adds: &mut scratch.adds,
+            counters: &mut scratch.counters,
             toggles: [0; MAX_LANES],
             cap: [0; MAX_LANES],
-            lanes: PhantomData,
         }
     }
 
-    /// Folds class `class`'s byte counts into `toggles` and `cap`.
+    /// Folds class `class`'s counts into `toggles` and `cap`.
+    #[inline(never)]
     fn fold(&mut self, class: usize) {
-        let stride = B::LANES / 8;
         let value = self.classes.values[class];
-        let bytes = &mut self.bytes[class * stride..(class + 1) * stride];
-        for (k, acc) in bytes.iter_mut().enumerate() {
-            let acc = std::mem::take(acc);
-            for i in 0..8 {
-                let count = (acc >> (8 * i)) & 0xff;
-                self.toggles[8 * k + i] += count;
-                self.cap[8 * k + i] += value * count;
-            }
-        }
-        self.adds[class] = 0;
+        let (toggles, cap) = (&mut self.toggles, &mut self.cap);
+        self.counters[class].fold(|lane, count| {
+            toggles[lane] += count;
+            cap[lane] += value * count;
+        });
     }
 }
 
@@ -270,17 +366,14 @@ impl<B: Block> LaneSums<B> for ClassSum<'_, B> {
     #[inline]
     fn add(&mut self, node: usize, mask: B) {
         let class = self.classes.class_of[node] as usize;
-        let stride = B::LANES / 8;
-        spread_add(&mut self.bytes[class * stride..], mask);
-        self.adds[class] += 1;
-        if self.adds[class] == u32::from(u8::MAX) {
+        if self.counters[class].add(mask) {
             self.fold(class);
         }
     }
 
     fn flush(&mut self) {
         for class in 0..self.classes.len() {
-            if self.adds[class] > 0 {
+            if self.counters[class].is_dirty() {
                 self.fold(class);
             }
         }
@@ -294,26 +387,30 @@ impl<B: Block> LaneSums<B> for ClassSum<'_, B> {
 }
 
 /// The fallback sum: `caps[node]` added to each changed lane in turn.
-pub(crate) struct LaneWalk<'a> {
+pub(crate) struct LaneWalk<'a, B> {
     caps: &'a [f64],
     cap: [f64; MAX_LANES],
-    toggles: LaneCounter,
+    counter: SlicedCounter<B>,
+    toggles: [u64; MAX_LANES],
 }
 
-impl<'a> LaneWalk<'a> {
-    pub(crate) fn new(caps: &'a [f64]) -> LaneWalk<'a> {
+impl<'a, B: Block> LaneWalk<'a, B> {
+    pub(crate) fn new(caps: &'a [f64]) -> LaneWalk<'a, B> {
         LaneWalk {
             caps,
             cap: [0.0; MAX_LANES],
-            toggles: LaneCounter::new(),
+            counter: SlicedCounter::ZERO,
+            toggles: [0; MAX_LANES],
         }
     }
 }
 
-impl<B: Block> LaneSums<B> for LaneWalk<'_> {
+impl<B: Block> LaneSums<B> for LaneWalk<'_, B> {
     #[inline]
     fn add(&mut self, node: usize, mask: B) {
-        self.toggles.add(mask);
+        if self.counter.add(mask) {
+            self.flush();
+        }
         let mut m = mask;
         while !m.is_zero() {
             self.cap[m.trailing_zeros() as usize] += self.caps[node];
@@ -322,16 +419,19 @@ impl<B: Block> LaneSums<B> for LaneWalk<'_> {
     }
 
     fn flush(&mut self) {
-        self.toggles.flush::<B>();
+        self.counter.fold_into(&mut self.toggles);
     }
 
     fn lane(&self, lane: usize) -> (f64, u64) {
-        (self.cap[lane], self.toggles.totals[lane])
+        (self.cap[lane], self.toggles[lane])
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::SmallRng;
+    use rand::{check, Rng};
+
     use super::*;
 
     #[test]
@@ -343,19 +443,91 @@ mod tests {
         }
     }
 
+    /// A random mask of `B`: each lane set with probability `density`.
+    fn random_mask<B: Block>(rng: &mut SmallRng, density: f64) -> B {
+        let mut mask = B::ZERO;
+        for lane in 0..B::LANES {
+            if rng.gen_bool(density) {
+                mask |= B::lane_mask(lane);
+            }
+        }
+        mask
+    }
+
+    /// Adds `adds` random masks to a counter, folding when it asks and at
+    /// random mid-stream points (as the event budget check does), and
+    /// checks the totals against a naive per-lane count at every fold.
+    fn sliced_counter_matches_naive<B: Block>(rng: &mut SmallRng) {
+        // Lengths around the 16-mask block edge, the 240-mask fold edge
+        // and the 255 a byte holds, plus any length up to four folds.
+        let adds = match rng.gen_range(0..4) {
+            0 => rng.gen_range(0..40),
+            1 => rng.gen_range(230..270),
+            2 => rng.gen_range(470..500),
+            _ => rng.gen_range(0..1000),
+        };
+        // Sparse like a drained mask, dense, or every lane every time.
+        let density = match rng.gen_range(0..3) {
+            0 => rng.gen_range(0.0..0.15),
+            1 => rng.gen_range(0.5..0.95),
+            _ => 1.0,
+        };
+        let flush_every = match rng.gen_range(0..3) {
+            0 => usize::MAX,
+            _ => rng.gen_range(1..300),
+        };
+        let mut counter = SlicedCounter::<B>::ZERO;
+        let mut totals = [0u64; MAX_LANES];
+        let mut naive = [0u64; MAX_LANES];
+        fn fold_and_compare<B: Block>(
+            counter: &mut SlicedCounter<B>,
+            totals: &mut [u64; MAX_LANES],
+            naive: &[u64],
+        ) {
+            counter.fold_into(totals);
+            assert!(!counter.is_dirty());
+            assert!(counter.planes.iter().all(|p| p.is_zero()));
+            assert_eq!(&totals[..B::LANES], naive);
+        }
+        for i in 0..adds {
+            let mask = random_mask::<B>(rng, density);
+            for (lane, count) in naive[..B::LANES].iter_mut().enumerate() {
+                *count += u64::from(mask.get(lane));
+            }
+            if counter.add(mask) {
+                fold_and_compare(&mut counter, &mut totals, &naive[..B::LANES]);
+            }
+            if (i + 1) % flush_every == 0 {
+                fold_and_compare(&mut counter, &mut totals, &naive[..B::LANES]);
+            }
+        }
+        fold_and_compare(&mut counter, &mut totals, &naive[..B::LANES]);
+    }
+
+    #[test]
+    fn sliced_counter_is_exact_in_both_widths() {
+        check(96, |rng| {
+            sliced_counter_matches_naive::<u64>(rng);
+            sliced_counter_matches_naive::<u128>(rng);
+        });
+    }
+
     fn counts_past_byte_overflow<B: Block>() {
         // Lane 0 in every add, lane LANES-1 in every other: both pass 255
-        // several times, so a missed flush would wrap a byte.
+        // several times, so a missed fold would carry out of plane 7.
         let every = B::lane_mask(0);
         let alternate = B::lane_mask(B::LANES - 1);
-        let mut counter = LaneCounter::new();
+        let mut counter = SlicedCounter::ZERO;
+        let mut totals = [0u64; MAX_LANES];
         for i in 0..1000 {
-            counter.add(if i % 2 == 0 { every | alternate } else { every });
+            if counter.add(if i % 2 == 0 { every | alternate } else { every }) {
+                counter.fold_into(&mut totals);
+            }
         }
-        counter.flush::<B>();
-        assert_eq!(counter.totals[0], 1000);
-        assert_eq!(counter.totals[B::LANES - 1], 500);
-        assert_eq!(counter.totals[..B::LANES].iter().sum::<u64>(), 1500);
+        counter.fold_into(&mut totals);
+        assert_eq!(totals[0], 1000);
+        assert_eq!(totals[B::LANES - 1], 500);
+        assert_eq!(totals.iter().sum::<u64>(), 1500);
     }
 
     #[test]
@@ -364,8 +536,22 @@ mod tests {
         counts_past_byte_overflow::<u128>();
     }
 
-    /// Feeds the same masks to both sums and checks they agree exactly,
-    /// with some classes passing 255 adds.
+    #[test]
+    fn sliced_counter_asks_to_fold_before_a_count_reaches_256() {
+        // All-ones masks: every lane counts every add, so the first fold
+        // request comes at 240 adds and a flush then may add 15 more.
+        let mut counter = SlicedCounter::<u128>::ZERO;
+        let asks: Vec<bool> = (0..255).map(|_| counter.add(u128::MAX)).collect();
+        assert_eq!(asks.iter().position(|&a| a), Some(239));
+        let mut totals = [0u64; MAX_LANES];
+        counter.fold_into(&mut totals);
+        assert_eq!(totals, [255; MAX_LANES]);
+    }
+
+    /// Feeds the same masks to both sums and checks they agree exactly
+    /// with each other and with a naive toggle count, with some classes
+    /// passing several folds. The second word reuses the class counters
+    /// the first one left zero.
     fn class_sum_matches_walk<B: Block>() {
         let caps = [8.0, 0.0, 107.0, 8.0, 33.0];
         let CapTable::Classes(classes) = CapTable::new(&caps, 10_000) else {
@@ -373,35 +559,41 @@ mod tests {
         };
         assert_eq!(classes.len(), 4);
         let mut scratch = ClassScratch::default();
-        let mut exact = ClassSum::<B>::new(&classes, &mut scratch);
-        let mut walk = LaneWalk::new(&caps);
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for step in 0..2000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let node = if step % 3 == 0 {
-                2
-            } else {
-                (state >> 60) as usize % 5
-            };
-            let mut mask = B::ZERO;
-            for lane in 0..B::LANES {
-                if (state >> (lane % 61)) & 1 == 1 && lane % 3 != 1 {
-                    mask |= B::lane_mask(lane);
+        for steps in [2000, 700] {
+            let mut exact = ClassSum::<B>::new(&classes, &mut scratch);
+            let mut walk = LaneWalk::<B>::new(&caps);
+            let mut naive = [0u64; MAX_LANES];
+            for step in 0..steps {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let node = if step % 3 == 0 {
+                    2
+                } else {
+                    (state >> 60) as usize % 5
+                };
+                let mut mask = B::ZERO;
+                for (lane, count) in naive[..B::LANES].iter_mut().enumerate() {
+                    if (state >> (lane % 61)) & 1 == 1 && lane % 3 != 1 {
+                        mask |= B::lane_mask(lane);
+                        *count += 1;
+                    }
                 }
+                exact.add(node, mask);
+                walk.add(node, mask);
             }
-            exact.add(node, mask);
-            walk.add(node, mask);
+            exact.flush();
+            walk.flush();
+            for (lane, &want_toggles) in naive[..B::LANES].iter().enumerate() {
+                let (cap, toggles) = exact.lane(lane);
+                let (want_cap, walk_toggles) = walk.lane(lane);
+                assert_eq!(toggles, want_toggles, "lane {lane}");
+                assert_eq!(walk_toggles, want_toggles, "lane {lane}");
+                assert_eq!(cap.to_bits(), want_cap.to_bits(), "lane {lane}");
+            }
         }
-        LaneSums::<B>::flush(&mut exact);
-        LaneSums::<B>::flush(&mut walk);
-        for lane in 0..B::LANES {
-            let (cap, toggles) = LaneSums::<B>::lane(&exact, lane);
-            let (want_cap, want_toggles) = LaneSums::<B>::lane(&walk, lane);
-            assert_eq!(toggles, want_toggles, "lane {lane}");
-            assert_eq!(cap.to_bits(), want_cap.to_bits(), "lane {lane}");
-        }
+        assert!(scratch.is_zero());
     }
 
     #[test]

@@ -116,7 +116,7 @@ struct PackedScratch<B> {
     words_before: Vec<B>,
     words_after: Vec<B>,
     word: WordScratch<B>,
-    classes: ClassScratch,
+    classes: ClassScratch<B>,
 }
 
 /// Working memory of the delay-model kernels.

@@ -20,8 +20,9 @@
 //! `now`, so neither a step nor a schedule divides by the wheel length.
 //!
 //! **Per-lane bookkeeping a word at a time.** `events` is a count, so a
-//! [`LaneCounter`] adds a whole drained mask at once, eight lanes per
-//! table lookup. `settle_time` is the last step in which a lane changed,
+//! bit-sliced [`SlicedCounter`] adds a whole drained mask at once, through
+//! a carry-save adder tree every sixteen masks (see [`crate::lane_sums`]).
+//! `settle_time` is the last step in which a lane changed,
 //! so the changes of a step are OR-ed into one mask and stamped with
 //! `now` once when the step ends. Each changed mask goes to the word's
 //! [`LaneSums`], which counts the toggles and sums `switched_cap_ff`. Of
@@ -31,6 +32,8 @@
 //! changed masks are counted per capacitance class and multiplied out at
 //! word end. Any other table keeps the scalar (time, node) order by
 //! adding `caps[node]` one lane at a time (see [`crate::lane_sums`]).
+//! A gate of one or two inputs is re-evaluated by one branch-free formula
+//! of [`eval_node`], whatever its kind.
 //!
 //! **Bit-identity contract:** for each lane, the sequence of (time, node)
 //! evaluations and the toggle decisions are exactly those of
@@ -53,7 +56,7 @@ use mpe_netlist::{packed::eval_node, Block, GateKind, PackedEvaluator};
 
 use crate::engine::CycleReport;
 use crate::error::SimError;
-use crate::lane_sums::{LaneCounter, LaneSums, MAX_LANES};
+use crate::lane_sums::{LaneSums, SlicedCounter, MAX_LANES};
 use crate::power::PowerConfig;
 
 /// Reusable working memory of the packed event kernel.
@@ -170,7 +173,8 @@ pub(crate) fn cycle_reports_event<B: Block, S: LaneSums<B>>(
     evaluator.evaluate_packed(words_before, &mut scratch.values);
 
     let active = B::low_mask(lanes);
-    let mut events = LaneCounter::new();
+    let mut events = SlicedCounter::<B>::ZERO;
+    let mut event_totals = [0u64; MAX_LANES];
     let mut settle = [0u64; MAX_LANES];
     let mut pending = 0usize;
     // Every drain adds at most one event to each lane, so no lane can
@@ -219,19 +223,22 @@ pub(crate) fn cycle_reports_event<B: Block, S: LaneSums<B>>(
                 let mask = std::mem::replace(&mut scratch.masks[slot * n + node], B::ZERO);
                 // One event per lane per (node, time), the scalar kernel's
                 // coalesced count.
-                events.add(mask);
+                if events.add(mask) {
+                    events.fold_into(&mut event_totals);
+                }
                 drains += 1;
                 if drains > budget {
-                    events.flush::<B>();
-                    if events.totals[..lanes].iter().any(|&e| e as usize > budget) {
+                    events.fold_into(&mut event_totals);
+                    if event_totals[..lanes].iter().any(|&e| e as usize > budget) {
                         scratch.bits[slot * words + w] = word;
                         clear_pending(scratch, n, words, wheel_len);
+                        // Leaves the word's counters zero for the next word.
+                        sums.flush();
                         return Err(SimError::EventBudgetExhausted { budget });
                     }
                 }
-                if evaluator.kind(node) == GateKind::Input {
-                    continue;
-                }
+                // Inputs have no fan-in, so no fanout list schedules one.
+                debug_assert_ne!(evaluator.kind(node), GateKind::Input);
                 let new_word = eval_node(evaluator, node, &scratch.values);
                 let changed = (new_word ^ scratch.values[node]) & mask;
                 if changed.is_zero() {
@@ -256,9 +263,9 @@ pub(crate) fn cycle_reports_event<B: Block, S: LaneSums<B>>(
         }
     }
 
-    events.flush::<B>();
+    events.fold_into(&mut event_totals);
     sums.flush();
-    let lane_fields = events.totals.iter().zip(&settle).take(lanes);
+    let lane_fields = event_totals.iter().zip(&settle).take(lanes);
     for (lane, (&events, &settle_time)) in lane_fields.enumerate() {
         let (cap, toggles) = sums.lane(lane);
         out.push(CycleReport {
@@ -283,7 +290,7 @@ mod tests {
     use super::*;
     use crate::delay::DelayModel;
     use crate::engine::PowerSimulator;
-    use crate::lane_sums::LaneWalk;
+    use crate::lane_sums::{CapClasses, CapTable, ClassScratch, ClassSum, LaneWalk};
     use crate::trace::Waveform;
 
     fn pair(rng: &mut SmallRng, width: usize) -> (Vec<bool>, Vec<bool>) {
@@ -304,9 +311,48 @@ mod tests {
         set.into_iter().collect()
     }
 
+    /// How a test word sums its capacitance: by class, in counters that
+    /// persist across words as the packed simulator's do, or by the lane
+    /// walk.
+    enum Sums {
+        Classes(CapClasses, ClassScratch<u64>),
+        Walk,
+    }
+
+    impl Sums {
+        fn classes(sim: &PowerSimulator<'_>) -> Sums {
+            let max_toggles = sim.event_budget() + sim.circuit().num_nodes();
+            match CapTable::new(sim.caps(), max_toggles) {
+                CapTable::Classes(classes) => Sums::Classes(classes, ClassScratch::default()),
+                CapTable::Walk(_) => panic!("the default model's caps must build classes"),
+            }
+        }
+    }
+
     /// Runs one word through the event kernel, packing `pairs` into its
     /// low lanes.
     fn run_word(
+        sim: &PowerSimulator<'_>,
+        evaluator: &PackedEvaluator,
+        scratch: &mut EventScratch<u64>,
+        sums: &mut Sums,
+        pairs: &[(Vec<bool>, Vec<bool>)],
+        budget: usize,
+    ) -> Result<Vec<CycleReport>, SimError> {
+        match sums {
+            Sums::Classes(classes, counters) => {
+                let sums = ClassSum::new(classes, counters);
+                run_word_with(sums, sim, evaluator, scratch, pairs, budget)
+            }
+            Sums::Walk => {
+                let sums = LaneWalk::new(sim.caps());
+                run_word_with(sums, sim, evaluator, scratch, pairs, budget)
+            }
+        }
+    }
+
+    fn run_word_with<S: LaneSums<u64>>(
+        sums: S,
         sim: &PowerSimulator<'_>,
         evaluator: &PackedEvaluator,
         scratch: &mut EventScratch<u64>,
@@ -323,7 +369,7 @@ mod tests {
         let mut out = Vec::new();
         cycle_reports_event(
             evaluator,
-            LaneWalk::new(sim.caps()),
+            sums,
             sim.delays(),
             sim.max_delay(),
             budget,
@@ -337,7 +383,7 @@ mod tests {
         Ok(out)
     }
 
-    fn assert_scratch_clean(scratch: &EventScratch<u64>, when: &str) {
+    fn assert_scratch_clean(scratch: &EventScratch<u64>, sums: &Sums, when: &str) {
         assert!(
             scratch.masks.iter().all(|m| m.is_zero()),
             "mask left set {when}"
@@ -346,6 +392,9 @@ mod tests {
             scratch.bits.iter().all(|&w| w == 0),
             "bitmap word left set {when}"
         );
+        if let Sums::Classes(_, counters) = sums {
+            assert!(counters.is_zero(), "class counter left set {when}");
+        }
     }
 
     /// A fresh word of 64 distinct pairs matches the scalar kernel bit for
@@ -354,10 +403,11 @@ mod tests {
         sim: &PowerSimulator<'_>,
         evaluator: &PackedEvaluator,
         scratch: &mut EventScratch<u64>,
+        sums: &mut Sums,
         rng: &mut SmallRng,
     ) {
         let pairs: Vec<_> = (0..64).map(|_| pair(rng, evaluator.num_inputs())).collect();
-        let reports = run_word(sim, evaluator, scratch, &pairs, sim.event_budget()).unwrap();
+        let reports = run_word(sim, evaluator, scratch, sums, &pairs, sim.event_budget()).unwrap();
         for ((v1, v2), got) in pairs.iter().zip(&reports) {
             let want = sim.cycle_report(v1, v2).unwrap();
             assert_eq!(got, &want);
@@ -367,14 +417,15 @@ mod tests {
                 want.switched_cap_ff.to_bits()
             );
         }
-        assert_scratch_clean(scratch, "after a successful word");
+        assert_scratch_clean(scratch, sums, "after a successful word");
     }
 
     /// `EventBudgetExhausted` fired in the middle of a C6288 step — with
     /// the drained word part-peeled, later words of the same slot still
     /// pending and the other slot already holding next-step schedules —
-    /// leaves every mask and bitmap word zero, and the next words match
-    /// the scalar kernel.
+    /// leaves every mask, bitmap word and class counter zero, and the next
+    /// words match the scalar kernel, through the class sums as well as
+    /// the lane walk.
     #[test]
     fn budget_error_mid_step_clears_every_slot() {
         let c = generate(Iscas85::C6288, 7).unwrap();
@@ -407,19 +458,36 @@ mod tests {
         // Every lane holds the same pair, so each lane's event count is the
         // drain count and the budget check fires at drain `fires + 1`.
         let same: Vec<_> = (0..64).map(|_| (v1.clone(), v2.clone())).collect();
-        let mut scratch = EventScratch::default();
-        let err = run_word(&sim, &evaluator, &mut scratch, &same, fires);
-        assert!(
-            matches!(err, Err(SimError::EventBudgetExhausted { budget }) if budget == fires),
-            "{err:?}"
-        );
-        assert_scratch_clean(&scratch, "after the budget error");
-        assert_next_word_matches_scalar(&sim, &evaluator, &mut scratch, &mut rng);
-        assert_next_word_matches_scalar(&sim, &evaluator, &mut scratch, &mut rng);
+        for mut sums in [Sums::Walk, Sums::classes(&sim)] {
+            let mut scratch = EventScratch::default();
+            let err = run_word(&sim, &evaluator, &mut scratch, &mut sums, &same, fires);
+            assert!(
+                matches!(err, Err(SimError::EventBudgetExhausted { budget }) if budget == fires),
+                "{err:?}"
+            );
+            assert_scratch_clean(&scratch, &sums, "after the budget error");
+            for _ in 0..2 {
+                assert_next_word_matches_scalar(
+                    &sim,
+                    &evaluator,
+                    &mut scratch,
+                    &mut sums,
+                    &mut rng,
+                );
+            }
 
-        // The exact budget succeeds on the same word.
-        let reports = run_word(&sim, &evaluator, &mut scratch, &same, evals.len()).unwrap();
-        assert!(reports.iter().all(|r| r.events == evals.len() as u64));
-        assert_scratch_clean(&scratch, "after the exact budget");
+            // The exact budget succeeds on the same word.
+            let reports = run_word(
+                &sim,
+                &evaluator,
+                &mut scratch,
+                &mut sums,
+                &same,
+                evals.len(),
+            )
+            .unwrap();
+            assert!(reports.iter().all(|r| r.events == evals.len() as u64));
+            assert_scratch_clean(&scratch, &sums, "after the exact budget");
+        }
     }
 }
