@@ -68,9 +68,11 @@ ESTIMATION (estimate / delay):
 RESILIENCE (estimate / delay):
     --sample-policy P   fail | skip[:CAP] | retry[:N] — reaction to source errors and
                         invalid readings (default fail; skip cap 1000, retry cap 8)
-    --checkpoint FILE   save estimator state after every hyper-sample (atomic
-                        write + fsync, previous generation rotated to FILE.bak,
-                        content-checksummed) and resume from FILE if it exists
+    --checkpoint FILE   save estimator state at most once a second while running
+                        and at every exit (atomic write + fsync, previous
+                        generation rotated to FILE.bak, content-checksummed;
+                        a kill -9 loses about a second of progress) and
+                        resume from FILE if it exists
                         (same seed + config required; falls back to FILE.bak
                         when FILE is torn or corrupt)
 
@@ -574,11 +576,7 @@ fn run_estimate(flags: &mut Flags) -> Result<(), Box<dyn std::error::Error>> {
     pipes.finish();
 
     if flags.json {
-        let mut report = run.report;
-        if telemetry.is_enabled() {
-            report = report.with_telemetry(&telemetry.snapshot());
-        }
-        println!("{}", report.to_json());
+        println!("{}", run.report.with_telemetry(&telemetry).to_json());
     } else {
         let (estimate, report) = (&run.estimate, &run.report);
         let kernel = report

@@ -5,8 +5,11 @@
 //! overnight setting. A [`Checkpoint`] serializes the *estimator* state —
 //! the accumulated hyper-sample estimates, their provenance, the
 //! convergence history, the unit ledger and the [`RunHealth`] counters —
-//! after every hyper-sample, so a killed run resumes from the last
-//! completed iteration instead of from scratch.
+//! at a committed hyper-sample, so a killed run resumes from there instead
+//! of from scratch. The engine builds one only when its
+//! [`CheckpointHook`] says it is due: a library hook sees every commit,
+//! [`CheckpointWriter`] at most one rolling save per second plus the
+//! final state.
 //!
 //! Determinism contract: resumed runs reproduce the uninterrupted run
 //! *exactly* when driven through
@@ -35,13 +38,16 @@
 //! [`Checkpoint::from_json`] rejects records whose payload no longer
 //! matches it, and [`load_with_recovery`] falls back to the `.bak`
 //! rotation when the primary is missing, torn or corrupt.
-//! [`CheckpointWriter`] moves those saves off the committing thread and
-//! coalesces them, latest wins: a crash may cost a few commits of
-//! progress, never a torn or out-of-order file.
+//! [`CheckpointWriter`] moves those saves off the committing thread,
+//! coalesces them (latest wins) and asks for a rolling save at most once
+//! per second of run time: a crash may cost about a second of progress
+//! plus one commit, never a torn or out-of-order file.
 
+use std::cell::Cell;
 use std::io::Write;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
+use std::time::{Duration, Instant};
 
 use crate::config::EstimationConfig;
 use crate::error::MaxPowerError;
@@ -49,6 +55,58 @@ use crate::estimator::EstimateHistoryEntry;
 use crate::health::{EstimatorKind, FitDiagnostics, RunHealth};
 use crate::report::TelemetrySummary;
 use crate::serve::json::{self, Decode, Encode, Fields, Json, JsonWriter};
+
+/// Shortest run time between two rolling saves of a [`CheckpointWriter`].
+/// Each save is a durable write (encode, fsync, two renames), which costs
+/// more than a whole hyper-sample of a small circuit.
+const ROLLING_INTERVAL: Duration = Duration::from_secs(1);
+
+/// Where the engine hands its checkpoints, and when it builds one.
+/// Building one clones the committed prefix, summarises the telemetry and
+/// seals the payload, so the engine asks [`CheckpointHook::due`] first.
+pub(crate) enum CheckpointHook<'a> {
+    /// A library caller's closure
+    /// ([`RunOptions::save_with`](crate::RunOptions::save_with)): it sees
+    /// every commit.
+    EveryCommit(&'a mut dyn FnMut(&Checkpoint)),
+    /// The CLI's and daemon's writer, with its rolling cadence.
+    Writer(&'a CheckpointWriter<'a>),
+}
+
+impl<'a> CheckpointHook<'a> {
+    /// The same hook for a shorter borrow (a `&mut` hook's lifetime only
+    /// narrows by rebuilding it).
+    pub(crate) fn narrow<'b>(self) -> CheckpointHook<'b>
+    where
+        'a: 'b,
+    {
+        match self {
+            CheckpointHook::EveryCommit(save) => CheckpointHook::EveryCommit(save),
+            CheckpointHook::Writer(writer) => CheckpointHook::Writer(writer),
+        }
+    }
+
+    /// Whether to save the committed state now: after a commit
+    /// (`last == false`), or as the run ends on any path with commits not
+    /// yet saved (`last == true`).
+    pub(crate) fn due(&self, last: bool) -> bool {
+        match self {
+            CheckpointHook::EveryCommit(_) => true,
+            CheckpointHook::Writer(writer) => writer.due_at(last, Instant::now()),
+        }
+    }
+
+    /// Takes a fresh, sealed checkpoint.
+    pub(crate) fn save(&mut self, checkpoint: &Checkpoint) {
+        match self {
+            CheckpointHook::EveryCommit(save) => save(checkpoint),
+            CheckpointHook::Writer(writer) => {
+                writer.offer(checkpoint);
+                writer.last_offer.set(Instant::now());
+            }
+        }
+    }
+}
 
 /// Version of the checkpoint schema; bumped on incompatible change.
 ///
@@ -398,15 +456,22 @@ pub fn save_atomic(path: &str, contents: &str) -> std::io::Result<()> {
 
 /// A latest-wins checkpoint writer on its own scoped thread.
 ///
-/// The engine emits a checkpoint after every committed hyper-sample, and
-/// a synchronous [`save_atomic`] (encode, write, fsync, two renames) on
-/// the committing thread would make the run wait on the disk every time.
+/// A synchronous [`save_atomic`] (encode, write, fsync, two renames) on
+/// the committing thread would make the run wait on the disk.
 /// [`CheckpointWriter::offer`] instead replaces a single pending slot and
 /// returns at once; the writer thread encodes and saves only the newest
-/// pending checkpoint, so a burst of commits coalesces into one write.
+/// pending checkpoint, so a burst of offers coalesces into one write.
 /// Every file it writes still goes through [`save_atomic`], so the path
-/// always holds a complete, sealed checkpoint: after a crash it may be a
-/// few commits behind the run, never torn or out of order.
+/// always holds a complete, sealed checkpoint, never a torn or
+/// out-of-order one.
+///
+/// As the engine's hook, the writer asks for a rolling checkpoint at most
+/// once per second of run time (the first commit a second or more after
+/// the previous save, or after the writer started) and for the final
+/// state of the run, so after a crash the file is about a second plus one
+/// commit behind. The daemon's writer skips the final state: a served job
+/// that finishes is recovered from its terminal record, never from its
+/// checkpoint.
 ///
 /// Dropping the writer without [`CheckpointWriter::finish`] still lets
 /// the thread save the last offer and stop, so the enclosing
@@ -414,6 +479,10 @@ pub fn save_atomic(path: &str, contents: &str) -> std::io::Result<()> {
 pub struct CheckpointWriter<'scope> {
     slot: Arc<WriterSlot>,
     thread: Option<ScopedJoinHandle<'scope, std::io::Result<()>>>,
+    /// When the engine last saved through it (or the writer started).
+    last_offer: Cell<Instant>,
+    /// Whether the run's final state is saved.
+    save_last: bool,
 }
 
 #[derive(Default)]
@@ -483,6 +552,24 @@ impl<'scope> CheckpointWriter<'scope> {
         CheckpointWriter {
             slot,
             thread: Some(thread),
+            last_offer: Cell::new(Instant::now()),
+            save_last: true,
+        }
+    }
+
+    /// Leaves the run's final state unsaved: for a daemon job, whose
+    /// terminal record replaces it.
+    pub(crate) fn without_final(mut self) -> Self {
+        self.save_last = false;
+        self
+    }
+
+    /// [`CheckpointHook::due`] at time `now`.
+    fn due_at(&self, last: bool, now: Instant) -> bool {
+        if last {
+            self.save_last
+        } else {
+            now.saturating_duration_since(self.last_offer.get()) >= ROLLING_INTERVAL
         }
     }
 
@@ -879,6 +966,58 @@ mod tests {
             Checkpoint::from_json(&std::fs::read_to_string(&path).expect("saved")).expect("parses");
         assert!(on_disk.check_integrity().is_ok());
         assert_eq!(on_disk, generation(last));
+    }
+
+    #[test]
+    fn writer_asks_for_a_rolling_save_at_most_once_a_second() {
+        let path = scratch("cadence.json");
+        let _ = std::fs::remove_file(&path);
+        std::thread::scope(|scope| {
+            let writer = CheckpointWriter::spawn(scope, &path);
+            let started = writer.last_offer.get();
+            let just_before = started + ROLLING_INTERVAL - Duration::from_millis(1);
+            assert!(!writer.due_at(false, started));
+            assert!(
+                !writer.due_at(false, just_before),
+                "no save before the interval"
+            );
+            assert!(writer.due_at(false, started + ROLLING_INTERVAL));
+            // A save restarts the interval.
+            CheckpointHook::Writer(&writer).save(&generation(1));
+            let saved = writer.last_offer.get();
+            assert!(saved >= started);
+            assert!(!writer.due_at(false, saved));
+            assert!(writer.due_at(false, saved + ROLLING_INTERVAL));
+            writer.finish().expect("the save succeeds");
+        });
+        let on_disk =
+            Checkpoint::from_json(&std::fs::read_to_string(&path).expect("saved")).expect("parses");
+        assert_eq!(on_disk, generation(1));
+    }
+
+    #[test]
+    fn writer_saves_the_final_state_unless_built_without_it() {
+        let path = scratch("final.json");
+        std::thread::scope(|scope| {
+            let cli = CheckpointWriter::spawn(scope, &path);
+            let now = cli.last_offer.get();
+            assert!(cli.due_at(true, now), "the CLI saves the final state");
+            let daemon = cli.without_final();
+            assert!(!daemon.due_at(true, now), "the daemon does not");
+            assert!(!daemon.due_at(true, now + 2 * ROLLING_INTERVAL));
+            assert!(daemon.due_at(false, now + ROLLING_INTERVAL));
+            daemon.finish().expect("nothing to save");
+        });
+    }
+
+    #[test]
+    fn library_hooks_see_every_commit() {
+        let mut seen = 0usize;
+        let mut count = |_: &Checkpoint| seen += 1;
+        let mut hook = CheckpointHook::EveryCommit(&mut count);
+        assert!(hook.due(false) && hook.due(true));
+        hook.save(&generation(1));
+        assert_eq!(seen, 1);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use mpe_stats::dist::StudentT;
 use mpe_telemetry::{names, SpanKind, Telemetry};
 
 use crate::checkpoint::{
-    config_fingerprint, Checkpoint, CheckpointHistoryEntry, CHECKPOINT_VERSION,
+    config_fingerprint, Checkpoint, CheckpointHistoryEntry, CheckpointHook, CHECKPOINT_VERSION,
 };
 use crate::config::EstimationConfig;
 use crate::error::MaxPowerError;
@@ -230,6 +230,10 @@ fn finish(
 /// The single place hyper-samples enter the run: absorbs each one into the
 /// run state in index order, records history/telemetry/checkpoints, and
 /// evaluates the stopping rule.
+///
+/// A checkpoint is built only when the hook says it is due: after a
+/// commit, and once more as the run ends on any path with commits not yet
+/// saved.
 struct Committer<'a> {
     /// Resolved configuration (finite population already picked up).
     config: EstimationConfig,
@@ -238,7 +242,9 @@ struct Committer<'a> {
     fingerprint: u64,
     master_seed: u64,
     /// The checkpoint hook; `None` skips building checkpoints at all.
-    save: Option<&'a mut dyn FnMut(&Checkpoint)>,
+    hook: Option<CheckpointHook<'a>>,
+    /// Whether commits were made since the last saved checkpoint.
+    unsaved: bool,
 }
 
 impl Committer<'_> {
@@ -259,6 +265,7 @@ impl Committer<'_> {
         if !(met || k >= self.config.max_hyper_samples) {
             return None;
         }
+        self.save_last();
         self.telemetry.flush();
         let st = std::mem::replace(&mut self.state, RunState::new());
         Some(finish(&self.config, st, &s, met, None))
@@ -273,6 +280,7 @@ impl Committer<'_> {
         &mut self,
         reason: StopReason,
     ) -> Result<MaxPowerEstimate, MaxPowerError> {
+        self.save_last();
         match self.interval()? {
             Some(s) => {
                 self.telemetry.flush();
@@ -288,10 +296,21 @@ impl Committer<'_> {
 
     /// Absorbs hyper-sample `k` (which must be the next index) into the
     /// run state: accounting, health, convergence gauges, the history
-    /// entry, and the checkpoint save. Returns the new interval for the
-    /// stopping rule.
+    /// entry, and a checkpoint save when one is due. Returns the new
+    /// interval for the stopping rule.
     fn commit(&mut self, hyper: HyperSample) -> Result<Option<IntervalStats>, MaxPowerError> {
         let st = &mut self.state;
+        // The one fallible step runs first, so an error leaves the
+        // committed state whole for the final checkpoint.
+        st.estimates.push(hyper.estimate_mw);
+        let stats = match interval(&self.config, &st.estimates, &mut st.health) {
+            Ok(stats) => stats,
+            Err(e) => {
+                st.estimates.pop();
+                return Err(e);
+            }
+        };
+        let k = st.estimates.len();
         st.units_used += hyper.units_used;
         st.observed_max = st.observed_max.max(hyper.observed_max);
         st.health.absorb(&hyper.health, hyper.estimator);
@@ -304,20 +323,17 @@ impl Committer<'_> {
         // index never appear).
         let diag = hyper.diagnostics;
         self.telemetry.fit_diag(
-            st.estimates.len() as u64,
+            (k - 1) as u64,
             diag.rung.label(),
             diag.reason.label(),
             diag.log_likelihood,
             diag.ks_distance,
             diag.tail_shape,
         );
-        st.estimates.push(hyper.estimate_mw);
         st.estimators.push(hyper.estimator);
         st.diagnostics.push(diag);
         self.telemetry.counter(names::HYPER_SAMPLES, 1);
 
-        let k = st.estimates.len();
-        let stats = interval(&self.config, &st.estimates, &mut st.health)?;
         let (mean, relative_half_width) = match &stats {
             Some(s) => (s.mean, s.relative),
             None => (st.estimates.iter().sum::<f64>() / k as f64, f64::INFINITY),
@@ -336,22 +352,37 @@ impl Committer<'_> {
             relative_half_width,
             units_used: st.units_used,
         });
-        // Building a checkpoint clones the whole committed prefix and
-        // hashes its rendering, so a run with no hook skips it entirely.
-        if let Some(save) = self.save.as_mut() {
-            let _cp_span = self.telemetry.span(SpanKind::Checkpoint);
-            let mut cp = st.to_checkpoint(self.fingerprint, self.master_seed);
-            if self.telemetry.is_enabled() {
-                cp.telemetry = Some(crate::report::TelemetrySummary::from_snapshot(
-                    &self.telemetry.snapshot(),
-                ));
-            }
-            // The telemetry block is part of the sealed payload.
-            cp.seal();
-            save(&cp);
-            self.telemetry.counter(names::CHECKPOINT_SAVES, 1);
+        self.unsaved = true;
+        if self.hook.as_ref().is_some_and(|hook| hook.due(false)) {
+            self.save();
         }
         Ok(stats)
+    }
+
+    /// Saves the final state when commits are unsaved and the hook wants
+    /// it. Called on every path that ends a run, before the state moves
+    /// into the estimate.
+    fn save_last(&mut self) {
+        if self.unsaved && self.hook.as_ref().is_some_and(|hook| hook.due(true)) {
+            self.save();
+        }
+    }
+
+    /// Builds, seals and hands the hook a checkpoint of the committed
+    /// state: a clone of the whole prefix and a hash of its rendering, so
+    /// it runs only when the hook says one is due.
+    fn save(&mut self) {
+        let Some(hook) = self.hook.as_mut() else {
+            return;
+        };
+        let _cp_span = self.telemetry.span(SpanKind::Checkpoint);
+        let mut cp = self.state.to_checkpoint(self.fingerprint, self.master_seed);
+        cp.telemetry = crate::report::TelemetrySummary::of(self.telemetry);
+        // The telemetry block is part of the sealed payload.
+        cp.seal();
+        hook.save(&cp);
+        self.telemetry.counter(names::CHECKPOINT_SAVES, 1);
+        self.unsaved = false;
     }
 
     /// Next hyper-sample index to generate.
@@ -422,7 +453,8 @@ pub(crate) fn run(session: &Session, opts: RunOptions<'_>, workers: Workers<'_>)
             state,
             fingerprint,
             master_seed: opts.seed,
-            save: opts.save.map(|save| save as &mut dyn FnMut(&Checkpoint)),
+            hook: opts.save.map(CheckpointHook::narrow),
+            unsaved: false,
         },
         supervisor: Supervisor::new(&supervision, committed),
         shared: &shared,
@@ -445,22 +477,28 @@ pub(crate) fn run(session: &Session, opts: RunOptions<'_>, workers: Workers<'_>)
     if let Some(outcome) = coordinator.settle(stats) {
         return outcome;
     }
-    match workers {
+    let outcome = match workers {
         Workers::Inline(source) => {
             let mut worker = Worker::new(0, source, telemetry.clone(), None, &shared);
             loop {
                 let event = worker.step(&shared);
                 let retired = event.retires();
                 if let Some(outcome) = coordinator.absorb(event) {
-                    return outcome;
+                    break outcome;
                 }
                 if retired {
-                    return Err(coordinator.all_workers_exited());
+                    break Err(coordinator.all_workers_exited());
                 }
             }
         }
         Workers::Threads(sources) => run_threads(&mut coordinator, sources),
+    };
+    // A failed run still holds its committed prefix: save it as the
+    // final state (an estimate saved its own before taking the state).
+    if outcome.is_err() {
+        coordinator.committer.save_last();
     }
+    outcome
 }
 
 /// The threaded driver: one scoped thread per source runs

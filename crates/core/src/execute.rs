@@ -16,7 +16,7 @@ use mpe_netlist::Circuit;
 use mpe_sim::PowerConfig;
 use mpe_telemetry::Telemetry;
 
-use crate::checkpoint::{Checkpoint, CheckpointWriter};
+use crate::checkpoint::{Checkpoint, CheckpointHook, CheckpointWriter};
 use crate::error::MaxPowerError;
 use crate::estimator::MaxPowerEstimate;
 use crate::report::EstimateReport;
@@ -38,9 +38,9 @@ pub struct Hooks<'a> {
     /// A checkpoint the front has already loaded; the run resumes from it
     /// or fails with [`MaxPowerError::CheckpointMismatch`].
     pub resume: Option<&'a Checkpoint>,
-    /// Where to save a checkpoint after every committed hyper-sample, on
-    /// a latest-wins [`CheckpointWriter`] that lands the final one before
-    /// [`execute`] returns.
+    /// Where to save checkpoints, on a latest-wins [`CheckpointWriter`]:
+    /// a rolling one at most once per second of run time, and the run's
+    /// final state before [`execute`] returns, on every exit path.
     pub checkpoint: Option<&'a str>,
 }
 
@@ -71,6 +71,18 @@ pub fn execute(
     spec: &JobSpec,
     hooks: Hooks<'_>,
 ) -> Result<Execution, MaxPowerError> {
+    execute_job(circuit, spec, hooks, true)
+}
+
+/// [`execute`], saving the run's final checkpoint only when `save_last`:
+/// the daemon passes `false`, because a served job that finishes is
+/// recovered from its terminal record and never from its checkpoint.
+pub(crate) fn execute_job(
+    circuit: &Circuit,
+    spec: &JobSpec,
+    hooks: Hooks<'_>,
+    save_last: bool,
+) -> Result<Execution, MaxPowerError> {
     let generator = spec
         .generator()
         .map_err(|e| MaxPowerError::InvalidConfig { message: e.message })?;
@@ -90,7 +102,7 @@ pub fn execute(
     };
     let source = source.with_kernel(spec.kernel);
     let kernel = source.kernel();
-    let (estimate, checkpoint_error) = run(&session, &source, spec, &hooks)?;
+    let (estimate, checkpoint_error) = run(&session, &source, spec, &hooks, save_last)?;
     let wall_ms = 1e3 * started.elapsed().as_secs_f64();
     // The run span's `span_end` is emitted as the estimator returns;
     // flushing makes every sink complete before the report is assembled.
@@ -113,6 +125,7 @@ fn run<F: PowerSourceFactory>(
     factory: &F,
     spec: &JobSpec,
     hooks: &Hooks<'_>,
+    save_last: bool,
 ) -> Result<(MaxPowerEstimate, Option<std::io::Error>), MaxPowerError> {
     let mut opts = RunOptions::default()
         .seeded(spec.seed)
@@ -126,9 +139,14 @@ fn run<F: PowerSourceFactory>(
         return Ok((session.run(factory, opts)?, None));
     };
     std::thread::scope(|scope| {
-        let writer = CheckpointWriter::spawn(scope, path);
-        let mut save = |cp: &Checkpoint| writer.offer(cp);
-        let outcome = session.run(factory, opts.save_with(&mut save));
+        let mut writer = CheckpointWriter::spawn(scope, path);
+        if !save_last {
+            writer = writer.without_final();
+        }
+        let outcome = session.run(
+            factory,
+            opts.checkpoint_hook(CheckpointHook::Writer(&writer)),
+        );
         let saved = writer.finish();
         Ok((outcome?, saved.err()))
     })

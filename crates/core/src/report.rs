@@ -8,7 +8,7 @@
 use crate::estimator::MaxPowerEstimate;
 use crate::health::{EstimatorKind, FitDiagnostics, RunHealth, RunStatus};
 use crate::serve::json::{self, Decode, Encode, Fields, Json, JsonWriter};
-use mpe_telemetry::{MetricsSnapshot, SpanKind};
+use mpe_telemetry::{MetricsSnapshot, SpanKind, Telemetry};
 
 /// Format version written into every report, bumped on breaking changes.
 ///
@@ -123,6 +123,14 @@ impl TelemetrySummary {
                 })
                 .collect(),
         }
+    }
+
+    /// The durable parts of an enabled handle's metrics; `None` on a
+    /// disabled handle.
+    pub fn of(telemetry: &Telemetry) -> Option<Self> {
+        telemetry
+            .is_enabled()
+            .then(|| Self::from_snapshot(&telemetry.snapshot()))
     }
 
     /// The total of one counter, 0 when absent.
@@ -257,10 +265,11 @@ impl EstimateReport {
         }
     }
 
-    /// Attaches the telemetry block from an enabled handle's snapshot.
+    /// Attaches the telemetry block read from `telemetry`'s metrics (none
+    /// from a disabled handle).
     #[must_use]
-    pub fn with_telemetry(mut self, snapshot: &MetricsSnapshot) -> Self {
-        self.telemetry = Some(TelemetrySummary::from_snapshot(snapshot));
+    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
+        self.telemetry = TelemetrySummary::of(telemetry);
         self
     }
 
@@ -557,7 +566,7 @@ mod tests {
         let telemetry = mpe_telemetry::Telemetry::enabled();
         telemetry.counter(mpe_telemetry::names::VECTOR_PAIRS_SIMULATED, 2400);
         let report = EstimateReport::new("C3540", "max_power_mw", &sample_estimate())
-            .with_telemetry(&telemetry.snapshot());
+            .with_telemetry(&telemetry);
         let json = report.to_json();
         assert!(json.contains("\"subject\": \"C3540\""));
         let back = EstimateReport::from_json(&json).unwrap();

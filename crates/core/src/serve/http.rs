@@ -103,15 +103,16 @@ fn read_head_line(stream: &mut BufReader<TcpStream>, line: &mut String) -> Resul
 pub fn write_response(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
     // A client that hung up mid-exchange is its own problem; the daemon
     // just moves on, so write errors are deliberately discarded.
-    let _ = write!(
-        stream,
+    // One buffer, one write: `write!` on a bare socket sends once per
+    // format piece.
+    let response = format!(
         "HTTP/1.1 {status} {reason}\r\n\
          Content-Type: application/json\r\n\
          Content-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.flush();
+    let _ = stream.write_all(response.as_bytes());
 }
 
 /// Writes an error response with the same structured body the CLI prints
@@ -130,13 +131,11 @@ pub fn write_error(stream: &mut TcpStream, err: &AppError) {
 /// Propagates the write error (the client hung up before the stream
 /// started).
 pub fn start_ndjson_stream(stream: &mut TcpStream) -> std::io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\n\
-         Content-Type: application/x-ndjson\r\n\
-         Connection: close\r\n\r\n"
-    )?;
-    stream.flush()
+    stream.write_all(
+        b"HTTP/1.1 200 OK\r\n\
+          Content-Type: application/x-ndjson\r\n\
+          Connection: close\r\n\r\n",
+    )
 }
 
 #[cfg(test)]

@@ -14,7 +14,10 @@
 //! [`SubscriberSink`] ring feeding the `/events` stream, and — when a
 //! spool directory is configured — a crash-safe on-disk record (spec,
 //! rolling checkpoint, terminal report) that lets a restarted daemon
-//! resume unfinished jobs where they stopped.
+//! resume unfinished jobs where they stopped. A job's rolling checkpoint
+//! is saved at most once a second and never for its final state: a
+//! finished job ends on its terminal record, and its checkpoint files are
+//! deleted once that record is written.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -28,10 +31,10 @@ use mpe_netlist::Iscas85;
 use mpe_sim::{DelayModel, KernelMode};
 use mpe_vectors::PairGenerator;
 
-use crate::checkpoint::{load_with_recovery, save_atomic};
+use crate::checkpoint::{backup_path, load_with_recovery, save_atomic};
 use crate::config::{EstimationConfig, SamplePolicy};
 use crate::error::{AppError, MaxPowerError};
-use crate::execute::{execute, Hooks};
+use crate::execute::{execute_job, Hooks};
 use crate::report::JobProvenance;
 use crate::serve::cache::CircuitCache;
 use crate::serve::json::{self, Encode, Json, JsonWriter};
@@ -703,8 +706,8 @@ impl JobEngine {
     }
 
     /// Graceful shutdown: refuses new work, cancels queued jobs, trips
-    /// running jobs' tokens (they stop gracefully, final checkpoint
-    /// included) and joins the runner pool.
+    /// running jobs' tokens (they stop gracefully and spool their partial
+    /// reports) and joins the runner pool.
     pub fn shutdown(&self) {
         let drained: Vec<Arc<Job>> = {
             let mut q = self.shared.queue.lock().expect("job queue poisoned");
@@ -815,7 +818,15 @@ impl EngineShared {
         w.end_object();
         let record = w.finish() + "\n";
         let path = dir.join(format!("{}.result.json", job.id));
-        let _ = save_atomic(&path.to_string_lossy(), &record);
+        if save_atomic(&path.to_string_lossy(), &record).is_ok() {
+            // Recovery takes a terminal job from this record and never
+            // reads its checkpoint again.
+            if let Some(ckpt) = self.spool_file(&job.id, "ckpt") {
+                let ckpt = ckpt.to_string_lossy().into_owned();
+                let _ = std::fs::remove_file(backup_path(&ckpt));
+                let _ = std::fs::remove_file(ckpt);
+            }
+        }
     }
 
     /// Rebuilds the job registry from a spool directory: jobs with a
@@ -980,8 +991,12 @@ fn run_job(
         resume,
         checkpoint: ckpt.as_deref(),
     };
-    let run = match execute(&circuit, &job.spec, hooks(resume.as_ref())) {
-        Err(MaxPowerError::CheckpointMismatch { .. }) => execute(&circuit, &job.spec, hooks(None)),
+    // No final checkpoint: the terminal record written as the job ends
+    // replaces it, and a crash before that record reruns the job from its
+    // last rolling checkpoint (or from scratch) to the same report.
+    let execute = |resume| execute_job(&circuit, &job.spec, hooks(resume), false);
+    let run = match execute(resume.as_ref()) {
+        Err(MaxPowerError::CheckpointMismatch { .. }) => execute(None),
         run => run,
     }?;
     // No telemetry block: the daemon's always-on event ring is a
@@ -1123,6 +1138,38 @@ mod tests {
         assert!(engine.cancel("j999999").is_err());
         engine.cancel("j000001").expect("cancel the running job");
         engine.shutdown();
+    }
+
+    #[test]
+    fn finished_job_spool_holds_only_spec_report_and_result() {
+        let dir = std::env::temp_dir().join(format!("mpe-spool-hygiene-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("spool dir");
+        // Stale checkpoint files under the id the job will get: unusable,
+        // so the job runs from scratch, and gone once it is done.
+        std::fs::write(dir.join("j000001.ckpt"), "{not a checkpoint").expect("ckpt");
+        std::fs::write(dir.join("j000001.ckpt.bak"), "{not either").expect("ckpt.bak");
+        let engine = JobEngine::start(1, 4, Some(dir.clone())).expect("engine starts");
+        let spec = spec_from(r#"{"circuit":"C432","epsilon":0.2}"#).expect("spec");
+        let job = engine.submit(spec).expect("admitted");
+        let mut sub = job.hub.subscribe();
+        while sub.wait().is_some() {}
+        assert_eq!(job.status_label(), "done");
+        engine.shutdown();
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .expect("spool readable")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [
+                "j000001.report.json",
+                "j000001.result.json",
+                "j000001.spec.json"
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

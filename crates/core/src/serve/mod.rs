@@ -347,21 +347,18 @@ fn stream_events(job: &jobs::Job, stream: &mut TcpStream) {
     // Event streams outlive the 10 s request-read timeout by design.
     let _ = stream.set_read_timeout(None);
     let mut subscriber = job.hub.subscribe();
+    // Each batch goes out in one write.
+    let mut lines = String::new();
     while let Some(batch) = subscriber.wait() {
+        lines.clear();
         for event in &batch.events {
-            if stream
-                .write_all(event.to_json_line().as_bytes())
-                .and_then(|()| stream.write_all(b"\n"))
-                .is_err()
-            {
-                return;
-            }
+            lines.push_str(&event.to_json_line());
+            lines.push('\n');
         }
-        if stream.flush().is_err() {
+        if stream.write_all(lines.as_bytes()).is_err() {
             return;
         }
     }
-    let _ = stream.flush();
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use std::num::NonZeroUsize;
 
 use mpe_telemetry::Telemetry;
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointHook};
 use crate::config::EstimationConfig;
 use crate::engine::{self, Workers};
 use crate::error::MaxPowerError;
@@ -94,7 +94,7 @@ pub struct RunOptions<'a> {
     workers: Option<NonZeroUsize>,
     pub(crate) seed: u64,
     pub(crate) resume: Option<&'a Checkpoint>,
-    pub(crate) save: Option<&'a mut dyn FnMut(&Checkpoint)>,
+    pub(crate) save: Option<CheckpointHook<'a>>,
     cancel: Option<CancelToken>,
     budget: RunBudget,
 }
@@ -128,19 +128,28 @@ impl<'a> RunOptions<'a> {
     }
 
     /// Invokes `save` with a fresh, sealed [`Checkpoint`] after every
-    /// committed hyper-sample; persist it wherever is convenient (the
-    /// `mpe` CLI hands it to a
-    /// [`CheckpointWriter`](crate::checkpoint::CheckpointWriter)). Without
-    /// a hook the engine builds no checkpoints at all.
+    /// committed hyper-sample; persist it wherever is convenient. (The
+    /// `mpe` CLI and daemon instead save through a
+    /// [`CheckpointWriter`](crate::checkpoint::CheckpointWriter), which
+    /// asks for at most one rolling checkpoint per second.) Without a hook
+    /// the engine builds no checkpoints at all.
     #[must_use]
     pub fn save_with<'b>(self, save: &'b mut dyn FnMut(&Checkpoint)) -> RunOptions<'b>
+    where
+        'a: 'b,
+    {
+        self.checkpoint_hook(CheckpointHook::EveryCommit(save))
+    }
+
+    /// Saves checkpoints through `hook`, which decides when one is due.
+    pub(crate) fn checkpoint_hook<'b>(self, hook: CheckpointHook<'b>) -> RunOptions<'b>
     where
         'a: 'b,
     {
         // Narrowed to the hook's lifetime, so options built outside a
         // thread scope can take a hook that lives inside it.
         RunOptions {
-            save: Some(save),
+            save: Some(hook),
             workers: self.workers,
             seed: self.seed,
             resume: self.resume,

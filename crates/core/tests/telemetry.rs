@@ -207,8 +207,8 @@ fn fit_diag_events_mirror_the_estimates_audit_trail() {
 #[test]
 fn trace_replay_reproduces_the_reports_telemetry_block() {
     let (estimate, telemetry, buf) = traced_run(42);
-    let report = EstimateReport::new("weibull", "max_power_mw", &estimate)
-        .with_telemetry(&telemetry.snapshot());
+    let report =
+        EstimateReport::new("weibull", "max_power_mw", &estimate).with_telemetry(&telemetry);
     let from_report = report.telemetry.expect("report carries telemetry");
 
     let text = buf.contents();
