@@ -14,7 +14,6 @@
 //! | `ablation_limit_law` | Weibull vs Gumbel fit quality (§3.1's argument) |
 //! | `ablation_delay_model` | power distributions across delay models |
 //! | `ablation_estimator` | finite-population estimator variants (§3.4) |
-//! | `ablation_pot` | block maxima vs peaks-over-threshold at equal budget |
 //! | `ablation_quantile_baseline` | EVT vs the quantile prior art (refs \[9\]\[10\]) |
 //!
 //! Every binary accepts:

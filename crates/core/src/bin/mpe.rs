@@ -634,14 +634,13 @@ fn run_estimate(flags: &mut Flags) -> Result<(), Box<dyn std::error::Error>> {
             status!(
                 "health: {} source errors survived, {} readings discarded, \
                  {} sample retries, {} MLE retries, {} degenerate bailouts, \
-                 {} POT fallbacks, {} quantile fallbacks, \
+                 {} quantile fallbacks, \
                  {} worker restarts, {} worker stalls{}",
                 h.source_errors,
                 h.samples_discarded,
                 h.sample_retries,
                 h.mle_retries,
                 h.degenerate_bailouts,
-                h.pot_fallbacks,
                 h.quantile_fallbacks,
                 h.worker_restarts,
                 h.worker_stalls,
@@ -931,10 +930,9 @@ fn print_trace_summary(path: &str, summary: &TraceSummary) {
             .filter(|d| d.rung == "mle" && d.tail_shape.is_some_and(|a| a <= 2.0))
             .count();
         println!(
-            "audit trail: {} fits (mle {}, pot {}, quantile {}); {} irregular (α ≤ 2)",
+            "audit trail: {} fits (mle {}, quantile {}); {} irregular (α ≤ 2)",
             summary.fit_diags.len(),
             count_rung("mle"),
-            count_rung("pot"),
             count_rung("quantile"),
             irregular
         );

@@ -43,35 +43,33 @@ pub(crate) use unit_variants;
 
 /// Which estimator produced a hyper-sample estimate.
 ///
-/// The engine degrades along a fixed ladder, from the paper's estimator to
-/// progressively weaker but more robust ones:
+/// The engine degrades along a fixed two-rung ladder, from the paper's
+/// estimator to a weaker but always-defined one:
 ///
 /// 1. [`Mle`](EstimatorKind::Mle) — profile maximum likelihood on the
 ///    reversed Weibull (the paper's §3.2; unbiased in the limit, needs a
 ///    non-degenerate spread of sample maxima);
-/// 2. [`Pot`](EstimatorKind::Pot) — peaks-over-threshold GPD endpoint over
-///    the raw unit draws (robust to tied maxima, still tail-parametric);
-/// 3. [`Quantile`](EstimatorKind::Quantile) — the distribution-free
+/// 2. [`Quantile`](EstimatorKind::Quantile) — the distribution-free
 ///    empirical quantile of the raw draws (always defined; no
 ///    extrapolation beyond the observed maximum).
+///
+/// Records naming the peaks-over-threshold rung that 0.24.0 and earlier
+/// had between the two (`"Pot"`) are refused at parse time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EstimatorKind {
     /// Reversed-Weibull profile MLE (the paper's estimator).
     Mle,
-    /// Peaks-over-threshold GPD endpoint fallback.
-    Pot,
     /// Empirical-quantile fallback (last rung of the ladder).
     Quantile,
 }
 
-unit_variants!(EstimatorKind { Mle, Pot, Quantile });
+unit_variants!(EstimatorKind { Mle, Quantile });
 
 impl EstimatorKind {
     /// Short lowercase label for reports and CLI output.
     pub fn label(self) -> &'static str {
         match self {
             EstimatorKind::Mle => "mle",
-            EstimatorKind::Pot => "pot",
             EstimatorKind::Quantile => "quantile",
         }
     }
@@ -141,8 +139,8 @@ pub struct FitDiagnostics {
     /// Kolmogorov–Smirnov distance of the batch maxima against the fitted
     /// reversed Weibull (`None` when there is no Weibull fit).
     pub ks_distance: Option<f64>,
-    /// Fitted tail shape: Weibull `α̂` for the MLE rung (Smith regularity
-    /// needs `α̂ > 2`), GPD `ξ̂` for the POT rung.
+    /// Fitted Weibull shape `α̂` for the MLE rung (Smith regularity needs
+    /// `α̂ > 2`); `None` for the quantile rung.
     pub tail_shape: Option<f64>,
 }
 
@@ -223,7 +221,7 @@ impl Decode for FitDiagnostics {
 }
 
 /// Fieldless variants are their names; the others are externally tagged,
-/// e.g. `{"Degraded": {"fallback": "Pot"}}`.
+/// e.g. `{"Degraded": {"fallback": "Quantile"}}`.
 impl Encode for RunStatus {
     fn encode(&self, w: &mut JsonWriter) {
         fn tagged(w: &mut JsonWriter, tag: &str, key: &str, value: &dyn Encode) {
@@ -309,7 +307,9 @@ pub struct RunHealth {
     /// Hyper-samples whose retry loop was cut short by the degeneracy
     /// pre-check.
     pub degenerate_bailouts: usize,
-    /// Hyper-samples estimated by the POT fallback.
+    /// Always 0: the peaks-over-threshold rung this counted was removed
+    /// in 0.25.0. The field and its JSON key stay so every report and
+    /// checkpoint keeps the 0.24.0 bytes (no schema bump).
     pub pot_fallbacks: usize,
     /// Hyper-samples estimated by the empirical-quantile fallback.
     pub quantile_fallbacks: usize,
@@ -383,7 +383,6 @@ impl RunHealth {
         }
         match estimator {
             EstimatorKind::Mle => {}
-            EstimatorKind::Pot => self.pot_fallbacks += 1,
             EstimatorKind::Quantile => self.quantile_fallbacks += 1,
         }
     }
@@ -402,13 +401,7 @@ impl RunHealth {
     /// The weakest (deepest-ladder) estimator that contributed, if any
     /// fallback was taken.
     fn deepest_fallback(&self) -> Option<EstimatorKind> {
-        if self.quantile_fallbacks > 0 {
-            Some(EstimatorKind::Quantile)
-        } else if self.pot_fallbacks > 0 {
-            Some(EstimatorKind::Pot)
-        } else {
-            None
-        }
+        (self.quantile_fallbacks > 0).then_some(EstimatorKind::Quantile)
     }
 
     /// The [`RunStatus`] implied by this health record and whether the
@@ -451,17 +444,17 @@ mod tests {
             degenerate_bailout: true,
         };
         run.absorb(&hyper, EstimatorKind::Mle);
-        run.absorb(&hyper, EstimatorKind::Pot);
         run.absorb(&hyper, EstimatorKind::Quantile);
+        run.absorb(&hyper, EstimatorKind::Mle);
         assert_eq!(run.samples_discarded, 9);
         assert_eq!(run.source_errors, 6);
         assert_eq!(run.sample_retries, 3);
         assert_eq!(run.mle_retries, 12);
         assert_eq!(run.degenerate_bailouts, 3);
-        assert_eq!(run.pot_fallbacks, 1);
+        assert_eq!(run.pot_fallbacks, 0);
         assert_eq!(run.quantile_fallbacks, 1);
         assert!(!run.is_clean());
-        // Quantile outranks POT as the deeper degradation.
+        // One quantile fallback among MLE fits degrades the whole run.
         assert_eq!(run.deepest_fallback(), Some(EstimatorKind::Quantile));
         assert_eq!(
             run.status(true),
@@ -489,18 +482,18 @@ mod tests {
 
     #[test]
     fn all_degraded_run_reports_deepest_rung_only() {
-        // Every hyper-sample fell back to POT; no quantile rung reached.
+        // Every hyper-sample fell back to the quantile rung, the deepest.
         let mut run = RunHealth::default();
         for _ in 0..4 {
-            run.absorb(&HyperHealth::default(), EstimatorKind::Pot);
+            run.absorb(&HyperHealth::default(), EstimatorKind::Quantile);
         }
-        assert_eq!(run.pot_fallbacks, 4);
-        assert_eq!(run.quantile_fallbacks, 0);
-        assert_eq!(run.deepest_fallback(), Some(EstimatorKind::Pot));
+        assert_eq!(run.pot_fallbacks, 0);
+        assert_eq!(run.quantile_fallbacks, 4);
+        assert_eq!(run.deepest_fallback(), Some(EstimatorKind::Quantile));
         assert_eq!(
             run.status(true),
             RunStatus::Degraded {
-                fallback: EstimatorKind::Pot
+                fallback: EstimatorKind::Quantile
             }
         );
         // Fallbacks alone don't make the run unhealthy-clean: the ledger
@@ -509,15 +502,13 @@ mod tests {
     }
 
     #[test]
-    fn mixed_estimator_kinds_rank_quantile_over_pot_in_any_order() {
+    fn mixed_estimator_kinds_rank_quantile_in_any_order() {
         // Deepest-rung ranking must not depend on absorb order.
         let mut a = RunHealth::default();
         a.absorb(&HyperHealth::default(), EstimatorKind::Quantile);
-        a.absorb(&HyperHealth::default(), EstimatorKind::Pot);
         a.absorb(&HyperHealth::default(), EstimatorKind::Mle);
         let mut b = RunHealth::default();
         b.absorb(&HyperHealth::default(), EstimatorKind::Mle);
-        b.absorb(&HyperHealth::default(), EstimatorKind::Pot);
         b.absorb(&HyperHealth::default(), EstimatorKind::Quantile);
         assert_eq!(a, b);
         assert_eq!(a.deepest_fallback(), Some(EstimatorKind::Quantile));
@@ -547,7 +538,7 @@ mod tests {
         assert!(RunStatus::Converged.met_target());
         assert!(!RunStatus::BudgetExhausted.met_target());
         assert!(RunStatus::Degraded {
-            fallback: EstimatorKind::Pot
+            fallback: EstimatorKind::Quantile
         }
         .met_target());
         assert!(!RunStatus::Interrupted {
@@ -592,9 +583,9 @@ mod tests {
         }
         assert_eq!(
             json::to_string(&RunStatus::Degraded {
-                fallback: EstimatorKind::Pot
+                fallback: EstimatorKind::Quantile
             }),
-            r#"{"Degraded":{"fallback":"Pot"}}"#
+            r#"{"Degraded":{"fallback":"Quantile"}}"#
         );
         let health = RunHealth {
             samples_discarded: 1,
@@ -610,7 +601,6 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(EstimatorKind::Mle.label(), "mle");
-        assert_eq!(EstimatorKind::Pot.label(), "pot");
         assert_eq!(EstimatorKind::Quantile.label(), "quantile");
         assert_eq!(FitReasonCode::Converged.label(), "converged");
         assert_eq!(FitReasonCode::DegenerateMaxima.label(), "degenerate_maxima");
@@ -651,14 +641,15 @@ mod tests {
             ..regular
         };
         assert!(irregular.is_irregular_mle());
-        // A POT rung with small ξ̂ is not an *MLE* regularity violation.
-        let pot = FitDiagnostics {
-            rung: EstimatorKind::Pot,
+        // A small shape on the quantile rung is not an *MLE* regularity
+        // violation.
+        let quantile = FitDiagnostics {
+            rung: EstimatorKind::Quantile,
             reason: FitReasonCode::NoConvergence,
-            tail_shape: Some(-0.4),
+            tail_shape: Some(1.5),
             ..regular
         };
-        assert!(!pot.is_irregular_mle());
+        assert!(!quantile.is_irregular_mle());
         let unknown = FitDiagnostics::unknown(EstimatorKind::Mle);
         assert_eq!(unknown.reason, FitReasonCode::Unknown);
         assert!(!unknown.is_irregular_mle());

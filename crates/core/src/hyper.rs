@@ -25,16 +25,14 @@
 //! * retries of a degenerate MLE charge an exponentially growing share of
 //!   a fixed budget of 15 hyper-sample costs (1 + 2 + 4 + 8), so
 //!   generation gives up after four attempts;
-//! * when the MLE never converges, generation walks the estimator ladder —
-//!   POT/GPD endpoint over the raw draws, then the distribution-free
-//!   empirical quantile — and records which rung produced the estimate in
-//!   [`HyperSample::estimator`]. A hyper-sample therefore never fails for
-//!   want of a fit.
+//! * when the MLE never converges, generation falls back to the
+//!   distribution-free empirical quantile of the raw draws and records
+//!   which rung produced the estimate in [`HyperSample::estimator`]. A
+//!   hyper-sample therefore never fails for want of a fit.
 
 use rand::RngCore;
 
 use mpe_evt::tail::finite_population_maximum;
-use mpe_mle::pot::fit_pot;
 use mpe_mle::profile::{fit_reversed_weibull, fit_reversed_weibull_traced, WeibullFit};
 use mpe_mle::MleError;
 use mpe_telemetry::{names, SpanKind, Telemetry};
@@ -48,10 +46,6 @@ use crate::error::MaxPowerError;
 use crate::health::{EstimatorKind, FitDiagnostics, FitReasonCode, HyperHealth};
 use crate::source::PowerSource;
 
-/// Empirical quantile above which the POT fallback fits its GPD
-/// (it keeps the top 10 % of the raw draws as excesses).
-const POT_FALLBACK_QUANTILE: f64 = 0.9;
-
 /// Retry budget for degenerate MLEs, in units of one hyper-sample's cost
 /// (`n·m` draws). Attempt `k` is charged `2^(k−1)` (1, 2, 4, 8, …), so a
 /// budget of 15 allows four attempts before the fallback ladder runs. A
@@ -63,8 +57,8 @@ const MLE_RETRY_BUDGET: usize = 15;
 #[derive(Debug, Clone)]
 pub struct HyperSample {
     /// The estimate (mW): `μ̂`, or the finite-population quantile when
-    /// [`EstimationConfig::finite_population`] is set; for fallback
-    /// estimators, the POT endpoint or the empirical quantile. Never below
+    /// [`EstimationConfig::finite_population`] is set; for the fallback
+    /// rung, the empirical quantile of the raw draws. Never below
     /// [`observed_max`](Self::observed_max).
     pub estimate_mw: f64,
     /// Which rung of the estimator ladder produced
@@ -455,13 +449,7 @@ pub fn generate_hyper_sample(
         config,
         fail_reason,
     );
-    telemetry.counter(
-        match degraded.estimator {
-            EstimatorKind::Pot => names::FALLBACK_POT,
-            _ => names::FALLBACK_QUANTILE,
-        },
-        1,
-    );
+    telemetry.counter(names::FALLBACK_QUANTILE, 1);
     Ok(degraded)
 }
 
@@ -479,11 +467,10 @@ fn fit_reason(cause: &MleError) -> FitReasonCode {
     }
 }
 
-/// Walks the fallback ladder over the pooled raw draws: POT/GPD endpoint,
-/// then the distribution-free empirical quantile. Always succeeds — the
-/// quantile rung is defined for any non-empty draw set. `reason` records
-/// why the MLE rung failed; it is carried verbatim into the diagnostics of
-/// whichever rung produces the estimate.
+/// The fallback rung: the distribution-free empirical quantile of the
+/// pooled raw draws. Always succeeds — it is defined for any non-empty
+/// draw set. `reason` records why the MLE rung failed; it is carried
+/// verbatim into the diagnostics.
 fn degraded_hyper_sample(
     all_draws: Vec<f64>,
     sample_maxima: Vec<f64>,
@@ -493,34 +480,7 @@ fn degraded_hyper_sample(
     config: &EstimationConfig,
     reason: FitReasonCode,
 ) -> HyperSample {
-    // Rung 2: peaks-over-threshold. Tied *maxima* don't imply tied
-    // excesses, so the GPD often still fits where the Weibull could not.
-    // The endpoint is accepted only when it is finite and consistent with
-    // the data (at or above the observed maximum).
-    if let Ok(pot) = fit_pot(&all_draws, POT_FALLBACK_QUANTILE) {
-        if let Some(endpoint) = pot.endpoint() {
-            if endpoint.is_finite() && endpoint >= observed_max {
-                let diagnostics = FitDiagnostics {
-                    rung: EstimatorKind::Pot,
-                    reason,
-                    log_likelihood: Some(pot.mean_log_likelihood),
-                    ks_distance: None,
-                    tail_shape: Some(pot.gpd.xi()),
-                };
-                return HyperSample {
-                    estimate_mw: endpoint,
-                    estimator: EstimatorKind::Pot,
-                    fit: None,
-                    sample_maxima,
-                    observed_max,
-                    units_used,
-                    health,
-                    diagnostics,
-                };
-            }
-        }
-    }
-    // Rung 3: type-7 empirical quantile at the finite-population level (or
+    // Type-7 empirical quantile at the finite-population level (or
     // the sample maximum for an infinite population), the quantile
     // baseline's convention. No extrapolation beyond the data — a pure
     // lower bound, but always defined.
@@ -727,7 +687,34 @@ mod tests {
             .unwrap();
         assert_eq!(h.health.mle_retries, 3);
         assert_eq!(h.units_used, 1200);
-        assert_ne!(h.estimator, EstimatorKind::Mle);
+        assert_eq!(h.estimator, EstimatorKind::Quantile);
+    }
+
+    #[test]
+    fn exhausted_retries_fall_back_to_the_observed_maximum() {
+        // Every 15th reading is a 5.0 spike over uniform [0, 4) noise, so
+        // each sample of 30 holds two spikes and the maxima tie forever.
+        // After the retry budget the empirical quantile of the pooled
+        // draws estimates, clamped to the observed maximum: no
+        // extrapolation beyond the data.
+        let mut calls = 0usize;
+        let mut source = FnSource::new(move |rng: &mut dyn RngCore| {
+            calls += 1;
+            if calls.is_multiple_of(15) {
+                5.0
+            } else {
+                rng.gen_range(0.0..4.0)
+            }
+        });
+        let config = EstimationConfig::default();
+        let mut rng = SmallRng::seed_from_u64(9);
+        let h = generate_hyper_sample(&mut source, &HyperSampleContext::new(&config), &mut rng)
+            .unwrap();
+        assert_eq!(h.estimator, EstimatorKind::Quantile);
+        assert_eq!(h.diagnostics.rung, EstimatorKind::Quantile);
+        assert_eq!(h.estimate_mw, 5.0);
+        assert_eq!(h.units_used, 1200);
+        assert_eq!(h.health.mle_retries, 3);
     }
 
     #[test]

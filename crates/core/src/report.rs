@@ -527,10 +527,10 @@ mod tests {
             units_used: 2400,
             observed_max_mw: 10.1,
             status: RunStatus::Degraded {
-                fallback: EstimatorKind::Pot,
+                fallback: EstimatorKind::Quantile,
             },
             health: RunHealth {
-                pot_fallbacks: 1,
+                quantile_fallbacks: 1,
                 source_errors: 3,
                 ..RunHealth::default()
             },
@@ -541,7 +541,7 @@ mod tests {
                 units_used: 300,
             }],
             hyper_estimates: vec![10.2, 10.8],
-            hyper_estimators: vec![EstimatorKind::Mle, EstimatorKind::Pot],
+            hyper_estimators: vec![EstimatorKind::Mle, EstimatorKind::Quantile],
             fit_diagnostics: vec![
                 FitDiagnostics {
                     rung: EstimatorKind::Mle,
@@ -551,11 +551,11 @@ mod tests {
                     tail_shape: Some(2.9),
                 },
                 FitDiagnostics {
-                    rung: EstimatorKind::Pot,
+                    rung: EstimatorKind::Quantile,
                     reason: crate::health::FitReasonCode::DegenerateMaxima,
-                    log_likelihood: Some(-1.4),
+                    log_likelihood: None,
                     ks_distance: None,
-                    tail_shape: Some(-0.2),
+                    tail_shape: None,
                 },
             ],
         }
@@ -712,7 +712,7 @@ mod tests {
         assert_eq!(
             report.status,
             RunStatus::Degraded {
-                fallback: EstimatorKind::Pot
+                fallback: EstimatorKind::Quantile
             }
         );
         assert_eq!(report.health.source_errors, 3);

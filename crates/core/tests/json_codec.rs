@@ -271,6 +271,62 @@ fn legacy_report_without_optional_fields_reads_with_defaults() {
 fn legacy_checkpoint_without_diagnostics_telemetry_or_checksum_reads_with_defaults() {
     let legacy = r#"{
       "version": 3, "config_fingerprint": 18446744073709551557,
+      "master_seed": 42, "hyper_estimates": [2.5], "hyper_estimators": ["Quantile"],
+      "history": [{"k": 1, "mean_mw": 2.5, "relative_half_width": null, "units_used": 300}],
+      "units_used": 300, "observed_max_mw": 2.25,
+      "health": {
+        "samples_discarded": 0, "source_errors": 0, "sample_retries": 0,
+        "mle_retries": 0, "degenerate_bailouts": 0, "pot_fallbacks": 0,
+        "quantile_fallbacks": 1, "zero_mean_guard": false
+      }
+    }"#;
+    let cp = Checkpoint::from_json(legacy).expect("legacy checkpoint parses");
+    assert!(cp.fit_diagnostics.is_empty());
+    assert_eq!(cp.telemetry, None);
+    assert_eq!(cp.checksum, None);
+    assert_eq!(cp.config_fingerprint, 18_446_744_073_709_551_557);
+    assert_eq!(cp.history[0].relative_half_width, None);
+    assert_eq!(cp.health.quantile_fallbacks, 1);
+    assert!(cp.verify(18_446_744_073_709_551_557, 42).is_ok());
+}
+
+/// `text` with the first `from` after `anchor` replaced by `to`.
+fn replace_after(text: &str, anchor: &str, from: &str, to: &str) -> String {
+    let at = text.find(anchor).expect("anchor present") + anchor.len();
+    let (head, tail) = text.split_at(at);
+    assert!(tail.contains(from), "{from} after {anchor}");
+    format!("{head}{}", tail.replacen(from, to, 1))
+}
+
+/// The peaks-over-threshold rung is gone from the ladder: a report naming
+/// it anywhere a rung appears is refused, and the error names the rung.
+#[test]
+fn report_naming_the_removed_pot_rung_is_refused() {
+    for anchor in ["\"fallback\": ", "\"hyper_estimators\": ", "\"rung\": "] {
+        let text = replace_after(GOLDEN_REPORT, anchor, "\"Quantile\"", "\"Pot\"");
+        let err = EstimateReport::from_json(&text).expect_err("Pot rung refused");
+        assert!(
+            err.contains("EstimatorKind") && err.contains("\"Pot\""),
+            "{anchor}: {err}"
+        );
+    }
+}
+
+#[test]
+fn checkpoint_naming_the_removed_pot_rung_is_refused() {
+    for anchor in ["\"hyper_estimators\": ", "\"rung\": "] {
+        let text = replace_after(GOLDEN_CHECKPOINT, anchor, "\"Quantile\"", "\"Pot\"");
+        let err = Checkpoint::from_json(&text)
+            .expect_err("Pot rung refused")
+            .to_string();
+        assert!(
+            err.contains("EstimatorKind") && err.contains("\"Pot\""),
+            "{anchor}: {err}"
+        );
+    }
+    // A pre-v4 checkpoint whose only hyper-sample came from the POT rung.
+    let legacy = r#"{
+      "version": 3, "config_fingerprint": 18446744073709551557,
       "master_seed": 42, "hyper_estimates": [2.5], "hyper_estimators": ["Pot"],
       "history": [{"k": 1, "mean_mw": 2.5, "relative_half_width": null, "units_used": 300}],
       "units_used": 300, "observed_max_mw": 2.25,
@@ -280,11 +336,8 @@ fn legacy_checkpoint_without_diagnostics_telemetry_or_checksum_reads_with_defaul
         "quantile_fallbacks": 0, "zero_mean_guard": false
       }
     }"#;
-    let cp = Checkpoint::from_json(legacy).expect("legacy checkpoint parses");
-    assert!(cp.fit_diagnostics.is_empty());
-    assert_eq!(cp.telemetry, None);
-    assert_eq!(cp.checksum, None);
-    assert_eq!(cp.config_fingerprint, 18_446_744_073_709_551_557);
-    assert_eq!(cp.history[0].relative_half_width, None);
-    assert!(cp.verify(18_446_744_073_709_551_557, 42).is_ok());
+    let err = Checkpoint::from_json(legacy)
+        .expect_err("Pot rung refused")
+        .to_string();
+    assert!(err.contains("\"Pot\""), "{err}");
 }

@@ -10,8 +10,6 @@
 //!   maximum ([`ReversedWeibull`]);
 //! * the [`Gumbel`] law and the moment tail-index estimator ([`domain`])
 //!   that the limiting-law ablation tests the Weibull assumption against;
-//! * the generalized Pareto law of threshold excesses
-//!   ([`GeneralizedPareto`]) behind the peaks-over-threshold fallback;
 //! * the tail-equivalence quantile used by the finite-population estimator
 //!   of the paper's Section 3.4 ([`tail`]) and return levels
 //!   ([`return_level`]).
@@ -40,13 +38,11 @@
 
 pub mod domain;
 pub mod error;
-pub mod gpd;
 pub mod gumbel;
 pub mod return_level;
 pub mod tail;
 pub mod weibull;
 
 pub use error::EvtError;
-pub use gpd::GeneralizedPareto;
 pub use gumbel::Gumbel;
 pub use weibull::ReversedWeibull;

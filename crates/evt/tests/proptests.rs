@@ -62,37 +62,6 @@ fn gumbel_quantile_roundtrip() {
     });
 }
 
-/// GPD: CDF bounded/monotone, quantile roundtrip, endpoint semantics.
-#[test]
-fn gpd_cdf_properties() {
-    check(CASES, |rng| {
-        let xi = rng.gen_range(-2.0f64..2.0);
-        let sigma = rng.gen_range(0.05f64..20.0);
-        let y = rng.gen_range(0.0f64..100.0);
-        let g = mpe_evt::GeneralizedPareto::new(xi, sigma).unwrap();
-        let c = g.cdf(y);
-        assert!((0.0..=1.0).contains(&c));
-        assert!(g.cdf(y + 0.5) >= c - 1e-12);
-        if xi < 0.0 {
-            let endpoint = g.excess_endpoint().unwrap();
-            assert!((g.cdf(endpoint) - 1.0).abs() < 1e-9);
-        }
-    });
-}
-
-#[test]
-fn gpd_quantile_roundtrip() {
-    check(CASES, |rng| {
-        let xi = rng.gen_range(-1.5f64..1.5);
-        let sigma = rng.gen_range(0.1f64..10.0);
-        let p = rng.gen_range(0.0f64..0.999);
-        let g = mpe_evt::GeneralizedPareto::new(xi, sigma).unwrap();
-        let y = g.inverse_cdf(p).unwrap();
-        assert!(y >= 0.0);
-        assert!((g.cdf(y) - p).abs() < 1e-8);
-    });
-}
-
 /// Return levels are monotone in period and always below the endpoint.
 #[test]
 fn return_levels_monotone() {

@@ -46,13 +46,11 @@
 pub mod error;
 pub mod gumbel;
 pub mod lsq;
-pub mod pot;
 pub mod profile;
 pub mod weibull2;
 
 pub use error::MleError;
 pub use gumbel::{fit_gumbel, GumbelFit};
 pub use lsq::lsq_fit_reversed_weibull;
-pub use pot::{fit_pot, PotFit};
 pub use profile::{fit_reversed_weibull, fit_reversed_weibull_traced, WeibullFit};
 pub use weibull2::{fit_weibull2, Weibull2Fit};

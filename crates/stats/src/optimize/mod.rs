@@ -6,7 +6,7 @@
 //! * [`golden_section`] — robust 1-D minimization on a bracket; used for the
 //!   outer profile-likelihood search over the Weibull location `μ`.
 //! * [`nelder_mead`] — N-D simplex minimization; used by the least-squares
-//!   CDF fit (Figure 1) and the peaks-over-threshold fit.
+//!   CDF fit (Figure 1).
 //! * [`bisect_newton`] — safeguarded scalar root finder; used for the inner
 //!   Weibull shape equation.
 

@@ -46,7 +46,7 @@ pub enum SpanKind {
     Simulate,
     /// The reversed-Weibull profile MLE.
     Fit,
-    /// The degraded-mode fallback ladder (POT, then empirical quantile).
+    /// The degraded-mode fallback to the empirical quantile.
     Fallback,
     /// Persisting a checkpoint.
     Checkpoint,
@@ -123,7 +123,7 @@ pub enum EventKind {
     FitDiag {
         /// Hyper-sample index (0-based commit order).
         k: u64,
-        /// Estimator rung label (`mle`, `pot`, `quantile`).
+        /// Estimator rung label (`mle` or `quantile`).
         rung: String,
         /// Typed reason code label (e.g. `converged`, `degenerate_maxima`).
         reason: String,
@@ -132,7 +132,7 @@ pub enum EventKind {
         /// Kolmogorov–Smirnov distance of the batch maxima vs the fitted
         /// distribution, when a fit exists.
         ks_distance: Option<f64>,
-        /// Fitted tail shape (Weibull `α̂`, or GPD `ξ̂` for the POT rung).
+        /// Fitted Weibull tail shape `α̂` (MLE rung only).
         tail_shape: Option<f64>,
     },
 }

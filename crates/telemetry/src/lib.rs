@@ -76,8 +76,6 @@ pub mod names {
     pub const MLE_RETRIES: &str = "mle_retries";
     /// Counter: likelihood-profile grid probes evaluated inside the MLE.
     pub const MLE_GRID_PROBES: &str = "mle_grid_probes";
-    /// Counter: fallbacks that landed on the POT/GPD endpoint rung.
-    pub const FALLBACK_POT: &str = "fallback_pot";
     /// Counter: fallbacks that landed on the empirical-quantile rung.
     pub const FALLBACK_QUANTILE: &str = "fallback_quantile";
     /// Counter: readings drawn but discarded by the sample policy.

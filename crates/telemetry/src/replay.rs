@@ -37,7 +37,7 @@ impl std::error::Error for TraceError {}
 pub struct FitDiagEvent {
     /// Hyper-sample index.
     pub k: u64,
-    /// Estimator rung label (`mle`, `pot`, `quantile`).
+    /// Estimator rung label (`mle` or `quantile`).
     pub rung: String,
     /// Typed reason code label.
     pub reason: String,
