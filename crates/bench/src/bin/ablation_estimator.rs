@@ -67,12 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Ok(fit) = lsq_fit_reversed_weibull(&hyper.sample_maxima) {
             lsq.push(finite_population_maximum(&fit.distribution, v, 1)?.max(hyper.observed_max));
         }
-        // Delete-one jackknife over the same maxima (BiasCorrection::Jackknife).
+        // Delete-one jackknife over the same maxima:
+        // θ_J = m·θ̂ − (m−1)·mean(θ̂₋ᵢ).
         {
-            use maxpower::BiasCorrection;
             use mpe_mle::profile::fit_reversed_weibull;
             let m = hyper.sample_maxima.len();
-            let _ = BiasCorrection::Jackknife; // the config knob this row evaluates
             let mut loo_sum = 0.0;
             let mut ok = true;
             for skip in 0..m {

@@ -5,7 +5,6 @@
 //! Usage:
 //!
 //! * `cargo run -p mpe-bench --release --bin trace_breakdown -- trace.jsonl`
-//! * `cargo run -p mpe-bench --release --bin trace_breakdown -- --parallel-smoke [out.json]`
 //! * `cargo run -p mpe-bench --release --bin trace_breakdown -- --kernel-smoke [out.json]`
 //! * `cargo run -p mpe-bench --release --bin trace_breakdown -- --population-smoke [out.json]`
 //! * `cargo run -p mpe-bench --release --bin trace_breakdown -- --telemetry-smoke [out.json]`
@@ -14,14 +13,8 @@
 //! monotone seq, LIFO span nesting) and exits non-zero on the first
 //! violation, so it doubles as the CI trace checker.
 //!
-//! The second form is the `cargo bench`-free parallel smoke benchmark: it
-//! times the same fixed-seed estimate sequentially and with a worker pool
-//! on the table-1 circuits, verifies the results are bit-identical, and
-//! records the sequential-vs-parallel wall clock as JSON (default path
-//! `BENCH_parallel.json`).
-//!
-//! The third form benchmarks the simulation kernel itself: scalar
-//! `cycle_report` versus the bit-parallel packed kernels (64- and
+//! The `--kernel-smoke` form benchmarks the simulation kernel itself:
+//! scalar `cycle_report` versus the bit-parallel packed kernels (64- and
 //! 128-lane words) on the same fixed-seed vector pairs, under the
 //! zero-delay, glitch-accurate unit-delay and fanout-delay models, asserting
 //! per-pair bit-identical reports before recording pairs/second as JSON
@@ -37,8 +30,8 @@
 //! path `BENCH_population.json`), best of three alternating repetitions
 //! as above.
 //!
-//! The fourth form measures the cost of observability itself: the same
-//! fixed-seed estimate with telemetry disabled, with the in-process
+//! The `--telemetry-smoke` form measures the cost of observability
+//! itself: the same fixed-seed estimate with telemetry disabled, with the in-process
 //! metrics registry only, and with a full JSONL trace sink. It asserts
 //! the estimate is bit-identical across all three modes (telemetry must
 //! never perturb the run) and records pairs/second per mode as JSON
@@ -59,14 +52,9 @@ use mpe_vectors::{PairGenerator, VectorPair};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Worker count for the parallel leg of the smoke benchmark.
-const SMOKE_WORKERS: usize = 4;
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
-        [flag] if flag == "--parallel-smoke" => run_parallel_smoke("BENCH_parallel.json"),
-        [flag, out] if flag == "--parallel-smoke" => run_parallel_smoke(out),
         [flag] if flag == "--kernel-smoke" => run_kernel_smoke("BENCH_kernel.json"),
         [flag, out] if flag == "--kernel-smoke" => run_kernel_smoke(out),
         [flag] if flag == "--population-smoke" => run_population_smoke("BENCH_population.json"),
@@ -80,108 +68,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         _ => Err("usage: trace_breakdown <trace.jsonl> | \
-                  --parallel-smoke [out.json] | --kernel-smoke [out.json] | \
-                  --population-smoke [out.json] | --telemetry-smoke [out.json]"
+                  --kernel-smoke [out.json] | --population-smoke [out.json] | \
+                  --telemetry-smoke [out.json]"
             .into()),
-    }
-}
-
-/// One circuit's sequential-vs-parallel measurement.
-struct SmokeRow {
-    circuit: String,
-    sequential_s: f64,
-    parallel_s: f64,
-    hyper_samples: usize,
-    units_used: usize,
-    identical: bool,
-}
-
-impl SmokeRow {
-    fn speedup(&self) -> f64 {
-        self.sequential_s / self.parallel_s
-    }
-}
-
-fn run_parallel_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    if host < SMOKE_WORKERS {
-        println!(
-            "note: host exposes {host} core(s); speedup at {SMOKE_WORKERS} workers \
-             is bounded by the hardware, only bit-identity is asserted"
-        );
-    }
-    // Table-1 conditions: high-activity pairs over the finite 160k space.
-    // A tighter-than-default target keeps every circuit busy long enough
-    // for the pool to matter while staying a smoke test, not a benchmark.
-    let config = EstimationConfig {
-        finite_population: Some(160_000),
-        max_hyper_samples: 500,
-        min_reading_mw: 0.0,
-        ..EstimationConfig::default()
-    };
-    let circuits = [Iscas85::C432, Iscas85::C880, Iscas85::C1355];
-    let mut rows = Vec::new();
-    for which in circuits {
-        let circuit = generate(which, 7)?;
-        let source = SimulatorSource::new(
-            &circuit,
-            PairGenerator::HighActivity { min_activity: 0.3 },
-            DelayModel::Unit,
-            PowerConfig::default(),
-        );
-        let session = EstimatorBuilder::new(config).build();
-        let time_run =
-            |opts: RunOptions<'_>| -> Result<(MaxPowerEstimate, f64), maxpower::MaxPowerError> {
-                let started = Instant::now();
-                let estimate = session.run(&source, opts)?;
-                Ok((estimate, started.elapsed().as_secs_f64()))
-            };
-        let (sequential, sequential_s) = time_run(RunOptions::default().seeded(42))?;
-        let (parallel, parallel_s) = time_run(
-            RunOptions::default()
-                .seeded(42)
-                .workers(NonZeroUsize::new(SMOKE_WORKERS).expect("non-zero")),
-        )?;
-        let identical = format!("{sequential:?}") == format!("{parallel:?}");
-        let row = SmokeRow {
-            circuit: which.to_string(),
-            sequential_s,
-            parallel_s,
-            hyper_samples: sequential.hyper_samples,
-            units_used: sequential.units_used,
-            identical,
-        };
-        println!(
-            "{:<6} sequential {:.3} s, {} workers {:.3} s — {:.2}x speedup, identical: {}",
-            row.circuit,
-            row.sequential_s,
-            SMOKE_WORKERS,
-            row.parallel_s,
-            row.speedup(),
-            row.identical,
-        );
-        rows.push(row);
-    }
-    std::fs::write(out_path, render_bench_json("parallel_smoke", host, &rows))?;
-    println!("wrote {out_path}");
-    if rows.iter().any(|r| !r.identical) {
-        return Err("parallel estimate diverged from sequential".into());
-    }
-    Ok(())
-}
-
-impl Encode for SmokeRow {
-    fn encode(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.field("circuit", &self.circuit);
-        w.field("workers", &SMOKE_WORKERS);
-        w.field("sequential_s", &round(self.sequential_s, 6));
-        w.field("parallel_s", &round(self.parallel_s, 6));
-        w.field("speedup", &round(self.speedup(), 3));
-        w.field("hyper_samples", &self.hyper_samples);
-        w.field("units_used", &self.units_used);
-        w.field("identical", &self.identical);
-        w.end_object();
     }
 }
 
@@ -463,8 +352,8 @@ impl TelemetryRow {
 
 fn run_telemetry_smoke(out_path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    // Same table-1 conditions as the parallel smoke, sequentially: the
-    // observability overhead is a per-event cost, so a deterministic
+    // Table-1 conditions (high-activity pairs over the finite 160k space),
+    // one worker: the observability overhead is a per-event cost, so a deterministic
     // single-worker run gives the cleanest off/on comparison.
     let config = EstimationConfig {
         finite_population: Some(160_000),
@@ -688,34 +577,6 @@ mod tests {
         row.get(key)
             .and_then(Json::as_str)
             .unwrap_or_else(|| panic!("`{key}` is not a string in {row:?}"))
-    }
-
-    #[test]
-    fn smoke_json_is_well_formed() {
-        let rows = [SmokeRow {
-            circuit: "C432".to_string(),
-            sequential_s: 1.234_567_89,
-            parallel_s: 0.5,
-            hyper_samples: 40,
-            units_used: 12_000,
-            identical: true,
-        }];
-        let rows = parse_bench(
-            &render_bench_json("parallel_smoke", 8, &rows),
-            "parallel_smoke",
-            8,
-        );
-        let [row] = rows.as_slice() else {
-            panic!("one row expected: {rows:?}")
-        };
-        assert_eq!(text(row, "circuit"), "C432");
-        assert_eq!(num(row, "workers"), SMOKE_WORKERS as f64);
-        assert_eq!(num(row, "sequential_s"), 1.234_568);
-        assert_eq!(num(row, "parallel_s"), 0.5);
-        assert_eq!(num(row, "speedup"), 2.469);
-        assert_eq!(num(row, "hyper_samples"), 40.0);
-        assert_eq!(num(row, "units_used"), 12_000.0);
-        assert_eq!(row.get("identical"), Some(&Json::Bool(true)));
     }
 
     #[test]

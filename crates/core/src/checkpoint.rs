@@ -6,8 +6,8 @@
 //! the accumulated hyper-sample estimates, their provenance, the
 //! convergence history, the unit ledger and the [`RunHealth`] counters —
 //! at a committed hyper-sample, so a killed run resumes from there instead
-//! of from scratch. The engine builds one only when its
-//! [`CheckpointHook`] says it is due: a library hook sees every commit,
+//! of from scratch. The engine builds one only when its crate-private
+//! `CheckpointHook` says it is due: a library hook sees every commit,
 //! [`CheckpointWriter`] at most one rolling save per second plus the
 //! final state.
 //!
@@ -22,10 +22,12 @@
 //! against a different seed or config is refused with
 //! [`MaxPowerError::CheckpointMismatch`].
 //!
-//! Non-finite values (`±∞` relative half-widths before `k = 2`, the
-//! `-∞` initial observed maximum) cannot survive a JSON round-trip, so the
-//! serialized form stores them as `None` and the engine restores the
-//! sentinels on load.
+//! The checkpoint is also the engine's live record of the committed run:
+//! a save seals a copy of it, and a resume continues from the verified
+//! record itself. JSON has no infinity, so an infinite relative
+//! half-width (before `k = 2`, or under the zero-mean guard) is written as
+//! `null` and reads back as infinity; the observed maximum is `None` until
+//! the first commit.
 //!
 //! ## Crash safety
 //!
@@ -35,9 +37,9 @@
 //! checkpoint path always holds either the previous complete checkpoint
 //! or the new complete checkpoint, never a torn mix. Every checkpoint
 //! carries a content checksum (sealed at save time);
-//! [`Checkpoint::from_json`] rejects records whose payload no longer
-//! matches it, and [`load_with_recovery`] falls back to the `.bak`
-//! rotation when the primary is missing, torn or corrupt.
+//! [`Checkpoint::from_json`] rejects records that carry none or whose
+//! payload no longer matches it, and [`load_with_recovery`] falls back to
+//! the `.bak` rotation when the primary is missing, torn or corrupt.
 //! [`CheckpointWriter`] moves those saves off the committing thread,
 //! coalesces them (latest wins) and asks for a rolling save at most once
 //! per second of run time: a crash may cost about a second of progress
@@ -52,7 +54,7 @@ use std::time::{Duration, Instant};
 use crate::config::EstimationConfig;
 use crate::error::MaxPowerError;
 use crate::estimator::EstimateHistoryEntry;
-use crate::health::{EstimatorKind, FitDiagnostics, RunHealth};
+use crate::health::{FitDiagnostics, RunHealth};
 use crate::report::TelemetrySummary;
 use crate::serve::json::{self, Decode, Encode, Fields, Json, JsonWriter};
 
@@ -110,63 +112,17 @@ impl<'a> CheckpointHook<'a> {
 
 /// Version of the checkpoint schema; bumped on incompatible change.
 ///
-/// v2 added the optional `telemetry` block (cumulative per-phase durations
-/// and work counters), so a resumed run's telemetry reflects total work
-/// across segments rather than just the final one. v3 added the content
-/// `checksum` (and the run-supervision counters inside `health`): every
-/// checkpoint written by this version is sealed, and resume rejects
-/// records whose payload was corrupted on disk.
-///
-/// The per-hyper-sample `fit_diagnostics` audit trail is an *additive*
-/// v3 extension: it defaults to empty on load (the engine pads missing
-/// records with [`FitDiagnostics::unknown`]) and joins the sealed payload
-/// only when present, so records written before the field existed still
-/// verify.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// v2 added the `telemetry` block, v3 the content `checksum` and the
+/// `fit_diagnostics` audit trail. v4 (0.26.0) dropped `hyper_estimators`,
+/// since each hyper-sample's rung is in its diagnostics record: every key
+/// the writer emits is required on read, and an unsealed record is
+/// refused. [`Checkpoint::from_json`] checks the version first, so an
+/// older record is refused by its version number.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
-/// One serialized row of the convergence history.
-///
-/// `relative_half_width` is `None` where the live value is non-finite
-/// (before `k = 2`, or under the zero-mean guard).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CheckpointHistoryEntry {
-    /// Hyper-samples accumulated (`k`).
-    pub k: usize,
-    /// Running mean estimate (mW).
-    pub mean_mw: f64,
-    /// Relative half-width; `None` encodes "undefined/infinite".
-    pub relative_half_width: Option<f64>,
-    /// Cumulative units consumed.
-    pub units_used: usize,
-}
-
-impl From<&EstimateHistoryEntry> for CheckpointHistoryEntry {
-    fn from(e: &EstimateHistoryEntry) -> Self {
-        CheckpointHistoryEntry {
-            k: e.k,
-            mean_mw: e.mean_mw,
-            relative_half_width: e
-                .relative_half_width
-                .is_finite()
-                .then_some(e.relative_half_width),
-            units_used: e.units_used,
-        }
-    }
-}
-
-impl From<&CheckpointHistoryEntry> for EstimateHistoryEntry {
-    fn from(e: &CheckpointHistoryEntry) -> Self {
-        EstimateHistoryEntry {
-            k: e.k,
-            mean_mw: e.mean_mw,
-            relative_half_width: e.relative_half_width.unwrap_or(f64::INFINITY),
-            units_used: e.units_used,
-        }
-    }
-}
-
-/// Serialized estimator state after a completed hyper-sample.
-#[derive(Debug, Clone, PartialEq)]
+/// The estimator state after a completed hyper-sample: the engine's live
+/// record of the committed run, and the file it resumes from.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// Schema version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
@@ -178,14 +134,12 @@ pub struct Checkpoint {
     pub master_seed: u64,
     /// Completed hyper-sample estimates (mW).
     pub hyper_estimates: Vec<f64>,
-    /// Which estimator produced each hyper-sample.
-    pub hyper_estimators: Vec<EstimatorKind>,
     /// Per-hyper-sample estimator audit records (parallel to
-    /// `hyper_estimates`). Empty in records written before the audit trail
-    /// existed; the engine pads with [`FitDiagnostics::unknown`] on resume.
+    /// `hyper_estimates`): the rung that produced each estimate, why, and
+    /// how well the fit matched.
     pub fit_diagnostics: Vec<FitDiagnostics>,
     /// Convergence history, one row per completed hyper-sample.
-    pub history: Vec<CheckpointHistoryEntry>,
+    pub history: Vec<EstimateHistoryEntry>,
     /// Units consumed so far.
     pub units_used: usize,
     /// Largest reading observed so far (mW); `None` encodes "none yet".
@@ -196,9 +150,9 @@ pub struct Checkpoint {
     /// run segments so far; absent when the run had telemetry disabled.
     pub telemetry: Option<TelemetrySummary>,
     /// Content checksum over every other field (FNV-1a of the canonical
-    /// rendering). Sealed at
-    /// save time; `None` marks a hand-built or legacy record, which is
-    /// accepted unchecked.
+    /// rendering), sealed at save time; a record without one is refused.
+    /// The engine's live record does not keep it current: each save seals
+    /// a copy.
     pub checksum: Option<u64>,
 }
 
@@ -213,17 +167,25 @@ impl Checkpoint {
         json::to_string_pretty(self)
     }
 
-    /// Parses a checkpoint from JSON and validates its content checksum.
+    /// Parses a checkpoint from JSON and validates its version, then its
+    /// content checksum.
     ///
     /// # Errors
     ///
-    /// [`MaxPowerError::CheckpointMismatch`] on malformed input or when a
-    /// sealed record's payload no longer matches its checksum (disk
-    /// corruption, manual edits).
+    /// [`MaxPowerError::CheckpointMismatch`] on malformed input, another
+    /// schema version, or a record that is unsealed or whose payload no
+    /// longer matches its checksum (disk corruption, manual edits).
     pub fn from_json(s: &str) -> Result<Checkpoint, MaxPowerError> {
-        let cp: Checkpoint = json::from_str(s).map_err(|e| MaxPowerError::CheckpointMismatch {
+        let malformed = |e: String| MaxPowerError::CheckpointMismatch {
             message: format!("malformed checkpoint JSON: {e}"),
-        })?;
+        };
+        let value = json::parse(s).map_err(malformed)?;
+        check_version(
+            Fields::of(&value)
+                .and_then(|f| f.req("version"))
+                .map_err(malformed)?,
+        )?;
+        let cp = Checkpoint::decode(&value).map_err(malformed)?;
         cp.check_integrity()?;
         Ok(cp)
     }
@@ -232,25 +194,19 @@ impl Checkpoint {
     /// FNV-1a of a canonical textual rendering, so it is independent of
     /// the serialization format (and of JSON field order / whitespace).
     fn payload_checksum(&self) -> u64 {
-        let mut canonical = format!(
+        let canonical = format!(
             "{}|{}|{}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}",
             self.version,
             self.config_fingerprint,
             self.master_seed,
             self.hyper_estimates,
-            self.hyper_estimators,
+            self.fit_diagnostics,
             self.history,
             self.units_used,
             self.observed_max_mw,
             self.health,
             self.telemetry,
         );
-        // The audit trail joins the sealed payload only when present, so
-        // checkpoints sealed before the field existed (which deserialize
-        // with an empty vec) still match their stored checksum.
-        if !self.fit_diagnostics.is_empty() {
-            canonical.push_str(&format!("|{:?}", self.fit_diagnostics));
-        }
         fnv1a(canonical.bytes())
     }
 
@@ -260,14 +216,17 @@ impl Checkpoint {
         self.checksum = Some(self.payload_checksum());
     }
 
-    /// Validates the content checksum, if the record carries one.
+    /// Validates the content checksum.
     ///
     /// # Errors
     ///
-    /// [`MaxPowerError::CheckpointMismatch`] when the payload does not
-    /// match the sealed checksum.
+    /// [`MaxPowerError::CheckpointMismatch`] when the record is unsealed or
+    /// its payload does not match the sealed checksum.
     fn check_integrity(&self) -> Result<(), MaxPowerError> {
         match self.checksum {
+            None => Err(MaxPowerError::CheckpointMismatch {
+                message: "unsealed checkpoint: it carries no content checksum".to_string(),
+            }),
             Some(stored) if stored != self.payload_checksum() => {
                 Err(MaxPowerError::CheckpointMismatch {
                     message: format!(
@@ -290,12 +249,7 @@ impl Checkpoint {
     /// [`MaxPowerError::CheckpointMismatch`] naming the first violation.
     pub fn verify(&self, config_fingerprint: u64, master_seed: u64) -> Result<(), MaxPowerError> {
         let fail = |message: String| Err(MaxPowerError::CheckpointMismatch { message });
-        if self.version != CHECKPOINT_VERSION {
-            return fail(format!(
-                "checkpoint version {} != supported {CHECKPOINT_VERSION}",
-                self.version
-            ));
-        }
+        check_version(self.version)?;
         if self.config_fingerprint != config_fingerprint {
             return fail(format!(
                 "config fingerprint {:#018x} != current {:#018x} \
@@ -311,19 +265,11 @@ impl Checkpoint {
             ));
         }
         let k = self.hyper_estimates.len();
-        if self.hyper_estimators.len() != k || self.history.len() != k {
+        if self.fit_diagnostics.len() != k || self.history.len() != k {
             return fail(format!(
-                "inconsistent lengths: {k} estimates, {} estimators, {} history rows",
-                self.hyper_estimators.len(),
+                "inconsistent lengths: {k} estimates, {} fit diagnostics, {} history rows",
+                self.fit_diagnostics.len(),
                 self.history.len()
-            ));
-        }
-        // Empty means "written before the audit trail existed" (padded on
-        // resume); any other length mismatch is corruption.
-        if !self.fit_diagnostics.is_empty() && self.fit_diagnostics.len() != k {
-            return fail(format!(
-                "inconsistent lengths: {k} estimates, {} fit diagnostics",
-                self.fit_diagnostics.len()
             ));
         }
         if self.hyper_estimates.iter().any(|e| !e.is_finite()) {
@@ -334,7 +280,22 @@ impl Checkpoint {
     }
 }
 
-impl Encode for CheckpointHistoryEntry {
+/// Refuses a checkpoint of another schema version.
+fn check_version(version: u32) -> Result<(), MaxPowerError> {
+    if version == CHECKPOINT_VERSION {
+        return Ok(());
+    }
+    Err(MaxPowerError::CheckpointMismatch {
+        message: format!(
+            "checkpoint version {version} != supported {CHECKPOINT_VERSION} \
+             (written by another release; the run starts over)"
+        ),
+    })
+}
+
+/// An infinite relative half-width is written as `null` (as every
+/// non-finite float is) and reads back as infinity.
+impl Encode for EstimateHistoryEntry {
     fn encode(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.field("k", &self.k);
@@ -345,13 +306,15 @@ impl Encode for CheckpointHistoryEntry {
     }
 }
 
-impl Decode for CheckpointHistoryEntry {
+impl Decode for EstimateHistoryEntry {
     fn decode(value: &Json) -> Result<Self, String> {
         let f = Fields::of(value)?;
-        Ok(CheckpointHistoryEntry {
+        Ok(EstimateHistoryEntry {
             k: f.req("k")?,
             mean_mw: f.req("mean_mw")?,
-            relative_half_width: f.or("relative_half_width", None)?,
+            relative_half_width: f
+                .req::<Option<f64>>("relative_half_width")?
+                .unwrap_or(f64::INFINITY),
             units_used: f.req("units_used")?,
         })
     }
@@ -364,7 +327,6 @@ impl Encode for Checkpoint {
         w.field("config_fingerprint", &self.config_fingerprint);
         w.field("master_seed", &self.master_seed);
         w.field("hyper_estimates", &self.hyper_estimates);
-        w.field("hyper_estimators", &self.hyper_estimators);
         w.field("fit_diagnostics", &self.fit_diagnostics);
         w.field("history", &self.history);
         w.field("units_used", &self.units_used);
@@ -376,8 +338,7 @@ impl Encode for Checkpoint {
     }
 }
 
-/// Absent `fit_diagnostics` reads as empty, absent `telemetry` and
-/// `checksum` as `None` (records written before those fields existed).
+/// Every key the writer emits is required.
 impl Decode for Checkpoint {
     fn decode(value: &Json) -> Result<Self, String> {
         let f = Fields::of(value)?;
@@ -386,14 +347,13 @@ impl Decode for Checkpoint {
             config_fingerprint: f.req("config_fingerprint")?,
             master_seed: f.req("master_seed")?,
             hyper_estimates: f.req("hyper_estimates")?,
-            hyper_estimators: f.req("hyper_estimators")?,
-            fit_diagnostics: f.or("fit_diagnostics", Vec::new())?,
+            fit_diagnostics: f.req("fit_diagnostics")?,
             history: f.req("history")?,
             units_used: f.req("units_used")?,
-            observed_max_mw: f.or("observed_max_mw", None)?,
+            observed_max_mw: f.req("observed_max_mw")?,
             health: f.req("health")?,
-            telemetry: f.or("telemetry", None)?,
-            checksum: f.or("checksum", None)?,
+            telemetry: f.req("telemetry")?,
+            checksum: f.req("checksum")?,
         })
     }
 }
@@ -660,34 +620,42 @@ pub fn load_with_recovery<T>(
 mod tests {
     use super::*;
 
+    use crate::health::{EstimatorKind, FitReasonCode};
+
+    /// A sealed two-hyper-sample checkpoint.
     fn sample_checkpoint() -> Checkpoint {
-        Checkpoint {
+        let mut cp = Checkpoint {
             version: CHECKPOINT_VERSION,
             config_fingerprint: 42,
             master_seed: 7,
             hyper_estimates: vec![10.1, 10.3],
-            hyper_estimators: vec![EstimatorKind::Mle, EstimatorKind::Mle],
             fit_diagnostics: vec![
-                crate::health::FitDiagnostics {
+                FitDiagnostics {
                     rung: EstimatorKind::Mle,
-                    reason: crate::health::FitReasonCode::Converged,
+                    reason: FitReasonCode::Converged,
                     log_likelihood: Some(-1.25),
                     ks_distance: Some(0.08),
                     tail_shape: Some(3.1),
                 },
-                crate::health::FitDiagnostics::unknown(EstimatorKind::Mle),
+                FitDiagnostics {
+                    rung: EstimatorKind::Quantile,
+                    reason: FitReasonCode::NoConvergence,
+                    log_likelihood: None,
+                    ks_distance: None,
+                    tail_shape: None,
+                },
             ],
             history: vec![
-                CheckpointHistoryEntry {
+                EstimateHistoryEntry {
                     k: 1,
                     mean_mw: 10.1,
-                    relative_half_width: None,
+                    relative_half_width: f64::INFINITY,
                     units_used: 300,
                 },
-                CheckpointHistoryEntry {
+                EstimateHistoryEntry {
                     k: 2,
                     mean_mw: 10.2,
-                    relative_half_width: Some(0.06),
+                    relative_half_width: 0.06,
                     units_used: 600,
                 },
             ],
@@ -696,7 +664,9 @@ mod tests {
             health: RunHealth::default(),
             telemetry: None,
             checksum: None,
-        }
+        };
+        cp.seal();
+        cp
     }
 
     #[test]
@@ -729,7 +699,8 @@ mod tests {
         bad.version = CHECKPOINT_VERSION + 1;
         assert!(bad.verify(42, 7).is_err());
         let mut bad = sample_checkpoint();
-        bad.hyper_estimators.pop();
+        bad.history.pop();
+        bad.seal();
         assert!(bad.verify(42, 7).is_err());
         let mut bad = sample_checkpoint();
         bad.hyper_estimates[0] = f64::NAN;
@@ -744,11 +715,12 @@ mod tests {
             relative_half_width: f64::INFINITY,
             units_used: 300,
         };
-        let stored = CheckpointHistoryEntry::from(&live);
-        assert_eq!(stored.relative_half_width, None);
-        let restored = EstimateHistoryEntry::from(&stored);
-        assert_eq!(restored.relative_half_width, f64::INFINITY);
-        assert_eq!(restored.k, live.k);
+        let stored = json::to_string(&live);
+        assert!(stored.contains("\"relative_half_width\":null"), "{stored}");
+        let restored: EstimateHistoryEntry = json::from_str(&stored).expect("parses");
+        assert_eq!(restored, live);
+        let missing = stored.replace("\"relative_half_width\":null,", "");
+        assert!(json::from_str::<EstimateHistoryEntry>(&missing).is_err());
     }
 
     #[test]
@@ -767,17 +739,16 @@ mod tests {
         // unresumable: change them only alongside a release note saying so.
         assert_eq!(
             config_fingerprint(&EstimationConfig::default()),
-            0xb4cb_40a9_e2e0_edd7
+            0x97ba_ba99_d547_2cef
         );
         let deployment =
             EstimationConfig::for_deployment(0.05, 0.90, None, crate::config::SamplePolicy::Fail);
-        assert_eq!(config_fingerprint(&deployment), 0xf090_1a92_bf00_5812);
+        assert_eq!(config_fingerprint(&deployment), 0x31cc_665e_731f_8d84);
     }
 
     #[test]
     fn seal_and_checksum_detect_payload_tampering() {
-        let mut cp = sample_checkpoint();
-        cp.seal();
+        let cp = sample_checkpoint();
         assert!(cp.checksum.is_some());
         assert!(cp.check_integrity().is_ok());
         assert!(cp.verify(42, 7).is_ok());
@@ -796,35 +767,26 @@ mod tests {
         flipped.hyper_estimates[0] = f64::from_bits(flipped.hyper_estimates[0].to_bits() ^ 1);
         assert!(flipped.check_integrity().is_err());
 
-        // Unsealed (legacy/hand-built) records pass unchecked.
-        let legacy = sample_checkpoint();
-        assert_eq!(legacy.checksum, None);
-        assert!(legacy.check_integrity().is_ok());
-
         // Re-sealing after a mutation restores integrity.
         tampered.seal();
         assert!(tampered.check_integrity().is_ok());
     }
 
     #[test]
-    fn legacy_records_without_diagnostics_keep_their_checksum() {
-        // A record sealed before the audit trail existed deserializes with
-        // an empty `fit_diagnostics`; the checksum must be unchanged by
-        // the field's introduction, and verify() must accept the record.
-        let mut legacy = sample_checkpoint();
-        legacy.fit_diagnostics.clear();
-        legacy.seal();
-        let sealed = legacy.checksum;
-        assert!(legacy.check_integrity().is_ok());
-        assert!(legacy.verify(42, 7).is_ok());
-        // Adding diagnostics *does* change the payload...
-        let full = sample_checkpoint();
-        assert_ne!(sealed, Some(full.payload_checksum()));
-        // ...and a partial trail (wrong length) is corruption.
-        let mut bad = sample_checkpoint();
-        bad.fit_diagnostics.pop();
-        bad.seal();
-        assert!(bad.verify(42, 7).is_err());
+    fn unsealed_records_and_short_diagnostics_are_refused() {
+        let mut unsealed = sample_checkpoint();
+        unsealed.checksum = None;
+        let err = unsealed.verify(42, 7).expect_err("unsealed").to_string();
+        assert!(err.contains("unsealed"), "{err}");
+        assert!(Checkpoint::from_json(&unsealed.to_json()).is_err());
+
+        // A diagnostics trail shorter than the estimates is a mismatch,
+        // however it is sealed.
+        let mut short = sample_checkpoint();
+        short.fit_diagnostics.pop();
+        short.seal();
+        let err = short.verify(42, 7).expect_err("short trail").to_string();
+        assert!(err.contains("1 fit diagnostics"), "{err}");
     }
 
     #[test]
@@ -833,7 +795,7 @@ mod tests {
         let mut b = sample_checkpoint();
         assert_eq!(a.payload_checksum(), b.payload_checksum());
         // The checksum field itself is excluded from the digest.
-        a.seal();
+        a.checksum = None;
         assert_eq!(a.payload_checksum(), b.payload_checksum());
         b.master_seed ^= 1;
         assert_ne!(a.payload_checksum(), b.payload_checksum());
@@ -1038,8 +1000,7 @@ mod tests {
         // Full-stack version of the recovery story: a sealed checkpoint
         // saved twice, primary corrupted by a single flipped digit,
         // resume falls back to the backup generation.
-        let mut cp = sample_checkpoint();
-        cp.seal();
+        let cp = sample_checkpoint();
         let path = scratch("bit-flip.json");
         let mut older = cp.clone();
         older.units_used = 300;

@@ -41,12 +41,6 @@ pub struct EstimationConfig {
     /// Weibull instead of the raw endpoint `μ̂` (paper §3.4). `None` means
     /// an infinite population (category I.1 over the full vector space).
     pub finite_population: Option<u64>,
-    /// Bias correction applied to each hyper-sample estimate. The paper
-    /// uses none; Smith's MLE carries an `O(1/m)` bias at `m = 10` which
-    /// the delete-one jackknife removes at the cost of roughly doubled
-    /// estimator variance (see the `ablation_estimator` experiment before
-    /// enabling).
-    pub bias_correction: BiasCorrection,
     /// How a hyper-sample reacts to a failing or garbage-emitting power
     /// source (transient errors, NaN/±∞ readings, readings below
     /// [`min_reading_mw`](Self::min_reading_mw)). The paper assumes every
@@ -131,19 +125,6 @@ impl SamplePolicy {
     }
 }
 
-/// Bias-correction strategies for the hyper-sample estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BiasCorrection {
-    /// The paper's plain estimator.
-    #[default]
-    None,
-    /// Delete-one jackknife over the `m` sample maxima:
-    /// `θ_J = m·θ̂ − (m−1)·mean(θ̂₋ᵢ)`. Removes the leading `O(1/m)` bias;
-    /// increases variance. Falls back to the plain estimate when too many
-    /// leave-one-out refits fail.
-    Jackknife,
-}
-
 impl Default for EstimationConfig {
     fn default() -> Self {
         EstimationConfig {
@@ -154,7 +135,6 @@ impl Default for EstimationConfig {
             min_hyper_samples: 2,
             max_hyper_samples: 200,
             finite_population: None,
-            bias_correction: BiasCorrection::None,
             sample_policy: SamplePolicy::Fail,
             min_reading_mw: f64::NEG_INFINITY,
         }

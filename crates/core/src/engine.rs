@@ -46,13 +46,11 @@ use rand::SeedableRng;
 use mpe_stats::dist::StudentT;
 use mpe_telemetry::{names, SpanKind, Telemetry};
 
-use crate::checkpoint::{
-    config_fingerprint, Checkpoint, CheckpointHistoryEntry, CheckpointHook, CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointHook, CHECKPOINT_VERSION};
 use crate::config::EstimationConfig;
 use crate::error::MaxPowerError;
 use crate::estimator::{EstimateHistoryEntry, MaxPowerEstimate};
-use crate::health::{EstimatorKind, FitDiagnostics, RunHealth, RunStatus};
+use crate::health::{RunHealth, RunStatus};
 use crate::hyper::{generate_hyper_sample, HyperSample, HyperSampleContext};
 use crate::session::{RunOptions, Session};
 use crate::source::{LaneStats, PowerSource};
@@ -79,77 +77,6 @@ const MEAN_FLOOR_MW: f64 = 1e-9;
 /// Absolute half-width (mW) the stopping rule accepts while the zero-mean
 /// guard is active.
 const ABSOLUTE_ERROR_MW: f64 = 1e-6;
-
-/// Live (deserialized) estimator state shared by fresh and resumed runs.
-pub(crate) struct RunState {
-    estimates: Vec<f64>,
-    estimators: Vec<EstimatorKind>,
-    diagnostics: Vec<FitDiagnostics>,
-    history: Vec<EstimateHistoryEntry>,
-    units_used: usize,
-    observed_max: f64,
-    health: RunHealth,
-}
-
-impl RunState {
-    fn new() -> Self {
-        RunState {
-            estimates: Vec::new(),
-            estimators: Vec::new(),
-            diagnostics: Vec::new(),
-            history: Vec::new(),
-            units_used: 0,
-            observed_max: f64::NEG_INFINITY,
-            health: RunHealth::default(),
-        }
-    }
-
-    fn from_checkpoint(cp: &Checkpoint) -> Self {
-        // Checkpoints written before the audit trail existed carry no
-        // diagnostics; pad with Unknown placeholders (keyed to the rung we
-        // do know) so indices keep lining up with the estimates.
-        let diagnostics = if cp.fit_diagnostics.len() == cp.hyper_estimates.len() {
-            cp.fit_diagnostics.clone()
-        } else {
-            cp.hyper_estimators
-                .iter()
-                .map(|&rung| FitDiagnostics::unknown(rung))
-                .collect()
-        };
-        RunState {
-            estimates: cp.hyper_estimates.clone(),
-            estimators: cp.hyper_estimators.clone(),
-            diagnostics,
-            history: cp.history.iter().map(EstimateHistoryEntry::from).collect(),
-            units_used: cp.units_used,
-            observed_max: cp.observed_max_mw.unwrap_or(f64::NEG_INFINITY),
-            health: cp.health,
-        }
-    }
-
-    /// The unsealed checkpoint of this state; the caller attaches any
-    /// telemetry summary and seals it.
-    fn to_checkpoint(&self, fingerprint: u64, master_seed: u64) -> Checkpoint {
-        Checkpoint {
-            version: CHECKPOINT_VERSION,
-            config_fingerprint: fingerprint,
-            master_seed,
-            hyper_estimates: self.estimates.clone(),
-            hyper_estimators: self.estimators.clone(),
-            fit_diagnostics: self.diagnostics.clone(),
-            history: self
-                .history
-                .iter()
-                .map(CheckpointHistoryEntry::from)
-                .collect(),
-            units_used: self.units_used,
-            observed_max_mw: self.observed_max.is_finite().then_some(self.observed_max),
-            health: self.health,
-            telemetry: None,
-            checksum: None,
-        }
-    }
-}
 
 /// The t-interval around the running mean, evaluated against both stopping
 /// criteria.
@@ -199,9 +126,10 @@ fn interval(
     }))
 }
 
+/// Moves the committed record `st` into the estimate with interval `s`.
 fn finish(
     config: &EstimationConfig,
-    st: RunState,
+    st: Checkpoint,
     s: &IntervalStats,
     met_target: bool,
     interrupted: Option<StopReason>,
@@ -215,21 +143,20 @@ fn finish(
         confidence_interval: (s.mean - s.half, s.mean + s.half),
         relative_error: s.relative,
         confidence: config.confidence,
-        hyper_samples: st.estimates.len(),
+        hyper_samples: st.hyper_estimates.len(),
         units_used: st.units_used,
-        observed_max_mw: st.observed_max,
+        observed_max_mw: st.observed_max_mw.unwrap_or(f64::NEG_INFINITY),
         status,
         health: st.health,
         history: st.history,
-        hyper_estimates: st.estimates,
-        hyper_estimators: st.estimators,
-        fit_diagnostics: st.diagnostics,
+        hyper_estimates: st.hyper_estimates,
+        fit_diagnostics: st.fit_diagnostics,
     }
 }
 
 /// The single place hyper-samples enter the run: absorbs each one into the
-/// run state in index order, records history/telemetry/checkpoints, and
-/// evaluates the stopping rule.
+/// committed record in index order, records history/telemetry/checkpoints,
+/// and evaluates the stopping rule.
 ///
 /// A checkpoint is built only when the hook says it is due: after a
 /// commit, and once more as the run ends on any path with commits not yet
@@ -238,9 +165,10 @@ struct Committer<'a> {
     /// Resolved configuration (finite population already picked up).
     config: EstimationConfig,
     telemetry: &'a Telemetry,
-    state: RunState,
-    fingerprint: u64,
-    master_seed: u64,
+    /// The committed record. Its envelope (version, config fingerprint,
+    /// master seed) is fixed when the run starts; a save attaches the
+    /// telemetry summary to a copy and seals it.
+    state: Checkpoint,
     /// The checkpoint hook; `None` skips building checkpoints at all.
     hook: Option<CheckpointHook<'a>>,
     /// Whether commits were made since the last saved checkpoint.
@@ -250,7 +178,11 @@ struct Committer<'a> {
 impl Committer<'_> {
     /// The t-interval of the committed estimates.
     fn interval(&mut self) -> Result<Option<IntervalStats>, MaxPowerError> {
-        interval(&self.config, &self.state.estimates, &mut self.state.health)
+        interval(
+            &self.config,
+            &self.state.hyper_estimates,
+            &mut self.state.health,
+        )
     }
 
     /// Evaluates the stopping rule on the current state and its interval
@@ -259,7 +191,7 @@ impl Committer<'_> {
     /// needed. Called before the first draw too, so a resumed run that
     /// already satisfies its target returns without drawing.
     fn decide(&mut self, stats: Option<IntervalStats>) -> Option<MaxPowerEstimate> {
-        let k = self.state.estimates.len();
+        let k = self.state.hyper_estimates.len();
         let s = stats?;
         let met = k >= self.config.min_hyper_samples && s.met;
         if !(met || k >= self.config.max_hyper_samples) {
@@ -267,7 +199,7 @@ impl Committer<'_> {
         }
         self.save_last();
         self.telemetry.flush();
-        let st = std::mem::replace(&mut self.state, RunState::new());
+        let st = std::mem::take(&mut self.state);
         Some(finish(&self.config, st, &s, met, None))
     }
 
@@ -284,36 +216,41 @@ impl Committer<'_> {
         match self.interval()? {
             Some(s) => {
                 self.telemetry.flush();
-                let st = std::mem::replace(&mut self.state, RunState::new());
+                let st = std::mem::take(&mut self.state);
                 Ok(finish(&self.config, st, &s, false, Some(reason)))
             }
             None => Err(MaxPowerError::Interrupted {
                 reason,
-                hyper_samples: self.state.estimates.len(),
+                hyper_samples: self.state.hyper_estimates.len(),
             }),
         }
     }
 
     /// Absorbs hyper-sample `k` (which must be the next index) into the
-    /// run state: accounting, health, convergence gauges, the history
+    /// committed record: accounting, health, convergence gauges, the history
     /// entry, and a checkpoint save when one is due. Returns the new
     /// interval for the stopping rule.
     fn commit(&mut self, hyper: HyperSample) -> Result<Option<IntervalStats>, MaxPowerError> {
         let st = &mut self.state;
         // The one fallible step runs first, so an error leaves the
         // committed state whole for the final checkpoint.
-        st.estimates.push(hyper.estimate_mw);
-        let stats = match interval(&self.config, &st.estimates, &mut st.health) {
+        st.hyper_estimates.push(hyper.estimate_mw);
+        let stats = match interval(&self.config, &st.hyper_estimates, &mut st.health) {
             Ok(stats) => stats,
             Err(e) => {
-                st.estimates.pop();
+                st.hyper_estimates.pop();
                 return Err(e);
             }
         };
-        let k = st.estimates.len();
+        let k = st.hyper_estimates.len();
         st.units_used += hyper.units_used;
-        st.observed_max = st.observed_max.max(hyper.observed_max);
-        st.health.absorb(&hyper.health, hyper.estimator);
+        let seen = st
+            .observed_max_mw
+            .map_or(hyper.observed_max, |m| m.max(hyper.observed_max));
+        // JSON cannot hold a non-finite maximum, and the sealed record must
+        // read back as written.
+        st.observed_max_mw = Some(seen).filter(|m| m.is_finite());
+        st.health.absorb(&hyper.health, hyper.diagnostics.rung);
         if hyper.diagnostics.is_irregular_mle() {
             st.health.irregular_fits += 1;
         }
@@ -330,13 +267,15 @@ impl Committer<'_> {
             diag.ks_distance,
             diag.tail_shape,
         );
-        st.estimators.push(hyper.estimator);
-        st.diagnostics.push(diag);
+        st.fit_diagnostics.push(diag);
         self.telemetry.counter(names::HYPER_SAMPLES, 1);
 
         let (mean, relative_half_width) = match &stats {
             Some(s) => (s.mean, s.relative),
-            None => (st.estimates.iter().sum::<f64>() / k as f64, f64::INFINITY),
+            None => (
+                st.hyper_estimates.iter().sum::<f64>() / k as f64,
+                f64::INFINITY,
+            ),
         };
         self.telemetry.gauge(names::RUNNING_MEAN_MW, mean);
         if let Some(s) = &stats {
@@ -368,15 +307,15 @@ impl Committer<'_> {
         }
     }
 
-    /// Builds, seals and hands the hook a checkpoint of the committed
-    /// state: a clone of the whole prefix and a hash of its rendering, so
-    /// it runs only when the hook says one is due.
+    /// Seals and hands the hook a copy of the committed record: a clone of
+    /// the whole prefix and a hash of its rendering, so it runs only when
+    /// the hook says one is due.
     fn save(&mut self) {
         let Some(hook) = self.hook.as_mut() else {
             return;
         };
         let _cp_span = self.telemetry.span(SpanKind::Checkpoint);
-        let mut cp = self.state.to_checkpoint(self.fingerprint, self.master_seed);
+        let mut cp = self.state.clone();
         cp.telemetry = crate::report::TelemetrySummary::of(self.telemetry);
         // The telemetry block is part of the sealed payload.
         cp.seal();
@@ -387,7 +326,7 @@ impl Committer<'_> {
 
     /// Next hyper-sample index to generate.
     fn next_k(&self) -> usize {
-        self.state.estimates.len()
+        self.state.hyper_estimates.len()
     }
 }
 
@@ -428,11 +367,16 @@ pub(crate) fn run(session: &Session, opts: RunOptions<'_>, workers: Workers<'_>)
             if let Some(summary) = &cp.telemetry {
                 summary.restore_into(telemetry);
             }
-            RunState::from_checkpoint(cp)
+            cp.clone()
         }
-        None => RunState::new(),
+        None => Checkpoint {
+            version: CHECKPOINT_VERSION,
+            config_fingerprint: fingerprint,
+            master_seed: opts.seed,
+            ..Checkpoint::default()
+        },
     };
-    let committed = state.estimates.len();
+    let committed = state.hyper_estimates.len();
     let supervision = opts.supervision();
     let mut ctx = HyperSampleContext::new(&config);
     if let Some(token) = &supervision.cancel {
@@ -451,8 +395,6 @@ pub(crate) fn run(session: &Session, opts: RunOptions<'_>, workers: Workers<'_>)
             config,
             telemetry,
             state,
-            fingerprint,
-            master_seed: opts.seed,
             hook: opts.save.map(CheckpointHook::narrow),
             unsaved: false,
         },

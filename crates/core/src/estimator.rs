@@ -26,7 +26,7 @@
 //!   [`RunHealth::zero_mean_guard`].
 
 use crate::error::MaxPowerError;
-use crate::health::{EstimatorKind, RunHealth, RunStatus};
+use crate::health::{FitDiagnostics, RunHealth, RunStatus};
 
 /// One row of the convergence history: the state after each hyper-sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,13 +69,10 @@ pub struct MaxPowerEstimate {
     pub history: Vec<EstimateHistoryEntry>,
     /// The individual hyper-sample estimates.
     pub hyper_estimates: Vec<f64>,
-    /// Which estimator produced each hyper-sample (parallel to
-    /// [`hyper_estimates`](Self::hyper_estimates)).
-    pub hyper_estimators: Vec<EstimatorKind>,
     /// Per-hyper-sample estimator audit trail (parallel to
-    /// [`hyper_estimates`](Self::hyper_estimates)): rung, reason code and
-    /// goodness-of-fit summaries for every committed fit.
-    pub fit_diagnostics: Vec<crate::health::FitDiagnostics>,
+    /// [`hyper_estimates`](Self::hyper_estimates)): the rung that produced
+    /// each estimate, its reason code and goodness-of-fit summaries.
+    pub fit_diagnostics: Vec<FitDiagnostics>,
 }
 
 impl MaxPowerEstimate {
@@ -113,6 +110,7 @@ mod tests {
     use super::*;
     use crate::config::EstimationConfig;
     use crate::engine::derive_seed;
+    use crate::health::EstimatorKind;
     use crate::session::{EstimatorBuilder, RunOptions, Session};
     use crate::source::FnSource;
     use rand::{Rng, RngCore};
@@ -150,8 +148,11 @@ mod tests {
         assert_eq!(r.units_used, 300 * r.hyper_samples);
         assert_eq!(r.history.len(), r.hyper_samples);
         assert_eq!(r.hyper_estimates.len(), r.hyper_samples);
-        assert_eq!(r.hyper_estimators.len(), r.hyper_samples);
-        assert!(r.hyper_estimators.iter().all(|&e| e == EstimatorKind::Mle));
+        assert_eq!(r.fit_diagnostics.len(), r.hyper_samples);
+        assert!(r
+            .fit_diagnostics
+            .iter()
+            .all(|d| d.rung == EstimatorKind::Mle));
         assert!(r.confidence_interval.0 <= r.estimate_mw);
         assert!(r.confidence_interval.1 >= r.estimate_mw);
         assert!(r.observed_max_mw <= 10.0);

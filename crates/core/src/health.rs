@@ -95,9 +95,6 @@ pub enum FitReasonCode {
     NoConvergence,
     /// Too few usable observations reached the fit.
     InsufficientData,
-    /// The diagnostics for this hyper-sample were not recorded (resumed
-    /// from a checkpoint written before schema v7).
-    Unknown,
 }
 
 unit_variants!(FitReasonCode {
@@ -106,7 +103,6 @@ unit_variants!(FitReasonCode {
     ConstantSource,
     NoConvergence,
     InsufficientData,
-    Unknown,
 });
 
 impl FitReasonCode {
@@ -118,7 +114,6 @@ impl FitReasonCode {
             FitReasonCode::ConstantSource => "constant_source",
             FitReasonCode::NoConvergence => "no_convergence",
             FitReasonCode::InsufficientData => "insufficient_data",
-            FitReasonCode::Unknown => "unknown",
         }
     }
 }
@@ -145,18 +140,6 @@ pub struct FitDiagnostics {
 }
 
 impl FitDiagnostics {
-    /// The placeholder record for hyper-samples whose diagnostics were
-    /// never captured (pre-v7 checkpoints).
-    pub fn unknown(rung: EstimatorKind) -> Self {
-        FitDiagnostics {
-            rung,
-            reason: FitReasonCode::Unknown,
-            log_likelihood: None,
-            ks_distance: None,
-            tail_shape: None,
-        }
-    }
-
     /// Whether this record describes an MLE fit violating Smith's
     /// `α > 2` regularity condition (CIs lose their asymptotic
     /// justification there).
@@ -308,8 +291,8 @@ pub struct RunHealth {
     /// pre-check.
     pub degenerate_bailouts: usize,
     /// Always 0: the peaks-over-threshold rung this counted was removed
-    /// in 0.25.0. The field and its JSON key stay so every report and
-    /// checkpoint keeps the 0.24.0 bytes (no schema bump).
+    /// in 0.25.0. The field and its JSON key stay so every report keeps
+    /// the 0.24.0 bytes (no report schema bump).
     pub pot_fallbacks: usize,
     /// Hyper-samples estimated by the empirical-quantile fallback.
     pub quantile_fallbacks: usize,
@@ -371,9 +354,9 @@ impl Decode for RunHealth {
 }
 
 impl RunHealth {
-    /// Folds one hyper-sample's health (and the estimator that produced
-    /// it) into the run-level aggregate.
-    pub fn absorb(&mut self, hyper: &HyperHealth, estimator: EstimatorKind) {
+    /// Folds one hyper-sample's health (and the rung that produced its
+    /// estimate, [`FitDiagnostics::rung`]) into the run-level aggregate.
+    pub fn absorb(&mut self, hyper: &HyperHealth, rung: EstimatorKind) {
         self.samples_discarded += hyper.samples_discarded;
         self.source_errors += hyper.source_errors;
         self.sample_retries += hyper.sample_retries;
@@ -381,7 +364,7 @@ impl RunHealth {
         if hyper.degenerate_bailout {
             self.degenerate_bailouts += 1;
         }
-        match estimator {
+        match rung {
             EstimatorKind::Mle => {}
             EstimatorKind::Quantile => self.quantile_fallbacks += 1,
         }
@@ -604,7 +587,6 @@ mod tests {
         assert_eq!(EstimatorKind::Quantile.label(), "quantile");
         assert_eq!(FitReasonCode::Converged.label(), "converged");
         assert_eq!(FitReasonCode::DegenerateMaxima.label(), "degenerate_maxima");
-        assert_eq!(FitReasonCode::Unknown.label(), "unknown");
     }
 
     #[test]
@@ -650,8 +632,11 @@ mod tests {
             ..regular
         };
         assert!(!quantile.is_irregular_mle());
-        let unknown = FitDiagnostics::unknown(EstimatorKind::Mle);
-        assert_eq!(unknown.reason, FitReasonCode::Unknown);
-        assert!(!unknown.is_irregular_mle());
+        // An MLE fit that recorded no shape is not flagged either.
+        let shapeless = FitDiagnostics {
+            tail_shape: None,
+            ..regular
+        };
+        assert!(!shapeless.is_irregular_mle());
     }
 }

@@ -27,13 +27,13 @@
 //!   generation gives up after four attempts;
 //! * when the MLE never converges, generation falls back to the
 //!   distribution-free empirical quantile of the raw draws and records
-//!   which rung produced the estimate in [`HyperSample::estimator`]. A
+//!   which rung produced the estimate in [`FitDiagnostics::rung`]. A
 //!   hyper-sample therefore never fails for want of a fit.
 
 use rand::RngCore;
 
 use mpe_evt::tail::finite_population_maximum;
-use mpe_mle::profile::{fit_reversed_weibull, fit_reversed_weibull_traced, WeibullFit};
+use mpe_mle::profile::{fit_reversed_weibull_traced, WeibullFit};
 use mpe_mle::MleError;
 use mpe_telemetry::{names, SpanKind, Telemetry};
 
@@ -41,7 +41,7 @@ use mpe_stats::descriptive::quantile;
 use mpe_stats::dist::ContinuousDistribution;
 use mpe_stats::ks::ks_statistic;
 
-use crate::config::{BiasCorrection, EstimationConfig, SamplePolicy};
+use crate::config::{EstimationConfig, SamplePolicy};
 use crate::error::MaxPowerError;
 use crate::health::{EstimatorKind, FitDiagnostics, FitReasonCode, HyperHealth};
 use crate::source::PowerSource;
@@ -61,9 +61,6 @@ pub struct HyperSample {
     /// rung, the empirical quantile of the raw draws. Never below
     /// [`observed_max`](Self::observed_max).
     pub estimate_mw: f64,
-    /// Which rung of the estimator ladder produced
-    /// [`estimate_mw`](Self::estimate_mw).
-    pub estimator: EstimatorKind,
     /// The underlying Weibull fit (shape, scale, endpoint, likelihood).
     /// `None` when a fallback estimator produced the estimate.
     pub fit: Option<WeibullFit>,
@@ -78,9 +75,10 @@ pub struct HyperSample {
     /// Fault counters for this hyper-sample.
     pub health: HyperHealth,
     /// Audit record for the fit that produced
-    /// [`estimate_mw`](Self::estimate_mw): rung, reason code, and
-    /// goodness-of-fit summaries. Computed whether or not telemetry is
-    /// enabled, so traced and untraced runs stay bit-identical.
+    /// [`estimate_mw`](Self::estimate_mw): its rung of the estimator
+    /// ladder, reason code, and goodness-of-fit summaries. Computed whether
+    /// or not telemetry is enabled, so traced and untraced runs stay
+    /// bit-identical.
     pub diagnostics: FitDiagnostics,
 }
 
@@ -132,60 +130,64 @@ fn draw_sample(
                 consecutive = 0;
                 continue;
             }
-            match config.sample_policy {
-                SamplePolicy::Fail => return Err(MaxPowerError::InvalidReading { value_mw: p }),
-                SamplePolicy::Skip { max_discarded } => {
-                    health.samples_discarded += 1;
-                    let count = health.samples_discarded + health.source_errors;
-                    if count > max_discarded {
-                        return Err(MaxPowerError::SamplePolicyExhausted {
-                            policy: "skip",
-                            count,
-                            limit: max_discarded,
-                        });
-                    }
-                }
-                SamplePolicy::Retry { max_attempts } => {
-                    health.samples_discarded += 1;
-                    health.sample_retries += 1;
-                    consecutive += 1;
-                    if consecutive > max_attempts {
-                        return Err(MaxPowerError::SamplePolicyExhausted {
-                            policy: "retry",
-                            count: consecutive,
-                            limit: max_attempts,
-                        });
-                    }
-                }
-            }
+            tally_failure(config.sample_policy, false, health, &mut consecutive).map_err(
+                |exhausted| exhausted.unwrap_or(MaxPowerError::InvalidReading { value_mw: p }),
+            )?;
         }
         if let Err(e) = batch_result {
-            match config.sample_policy {
-                SamplePolicy::Fail => return Err(e),
-                SamplePolicy::Skip { max_discarded } => {
-                    health.source_errors += 1;
-                    let count = health.samples_discarded + health.source_errors;
-                    if count > max_discarded {
-                        return Err(MaxPowerError::SamplePolicyExhausted {
-                            policy: "skip",
-                            count,
-                            limit: max_discarded,
-                        });
-                    }
+            match tally_failure(config.sample_policy, true, health, &mut consecutive) {
+                Ok(()) => {}
+                Err(Some(exhausted))
+                    if matches!(config.sample_policy, SamplePolicy::Skip { .. }) =>
+                {
+                    return Err(exhausted)
                 }
-                SamplePolicy::Retry { max_attempts } => {
-                    health.source_errors += 1;
-                    health.sample_retries += 1;
-                    consecutive += 1;
-                    if consecutive > max_attempts {
-                        // Propagate the source's own error: the caller sees
-                        // *why* the source kept failing, not just that the
-                        // policy gave up.
-                        return Err(e);
-                    }
-                }
+                // `Fail`, and an exhausted `Retry`, propagate the source's
+                // own error: the caller sees *why* the source kept failing,
+                // not just that the policy gave up.
+                Err(_) => return Err(e),
             }
         }
+    }
+    Ok(())
+}
+
+/// Tallies one failed draw under the sample policy: a discarded reading,
+/// or a survived source error when `source_error`, plus the retry and the
+/// consecutive run under `Retry`. `Err(Some(_))` is the policy-exhausted
+/// error once `Skip` or `Retry` passes its limit; `Err(None)` is `Fail`,
+/// which tolerates nothing. A failing draw aborts the hyper-sample, so its
+/// tally under `Fail` is never read.
+fn tally_failure(
+    policy: SamplePolicy,
+    source_error: bool,
+    health: &mut HyperHealth,
+    consecutive: &mut usize,
+) -> Result<(), Option<MaxPowerError>> {
+    if source_error {
+        health.source_errors += 1;
+    } else {
+        health.samples_discarded += 1;
+    }
+    let (policy, count, limit) = match policy {
+        SamplePolicy::Fail => return Err(None),
+        SamplePolicy::Skip { max_discarded } => (
+            "skip",
+            health.samples_discarded + health.source_errors,
+            max_discarded,
+        ),
+        SamplePolicy::Retry { max_attempts } => {
+            health.sample_retries += 1;
+            *consecutive += 1;
+            ("retry", *consecutive, max_attempts)
+        }
+    };
+    if count > limit {
+        return Err(Some(MaxPowerError::SamplePolicyExhausted {
+            policy,
+            count,
+            limit,
+        }));
     }
     Ok(())
 }
@@ -399,14 +401,9 @@ pub fn generate_hyper_sample(
                     telemetry.gauge(names::HYPER_MU, fit.distribution.mu());
                     telemetry.gauge(names::HYPER_ALPHA, fit.distribution.alpha());
                     telemetry.gauge(names::HYPER_BETA, fit.distribution.beta());
-                    let plain = point_estimate(&fit, config);
-                    let estimate_mw = match config.bias_correction {
-                        BiasCorrection::None => plain,
-                        BiasCorrection::Jackknife => jackknife(&maxima, plain, config),
-                    };
                     // The observed maximum is a hard lower bound on ω(F);
                     // the estimator never reports below what it has seen.
-                    let estimate_mw = estimate_mw.max(observed_max);
+                    let estimate_mw = point_estimate(&fit, config).max(observed_max);
                     let diagnostics = FitDiagnostics {
                         rung: EstimatorKind::Mle,
                         reason: FitReasonCode::Converged,
@@ -416,7 +413,6 @@ pub fn generate_hyper_sample(
                     };
                     return Ok(HyperSample {
                         estimate_mw,
-                        estimator: EstimatorKind::Mle,
                         fit: Some(fit),
                         sample_maxima: maxima,
                         observed_max,
@@ -493,7 +489,6 @@ fn degraded_hyper_sample(
         .max(observed_max);
     HyperSample {
         estimate_mw,
-        estimator: EstimatorKind::Quantile,
         fit: None,
         sample_maxima,
         observed_max,
@@ -526,31 +521,6 @@ fn point_estimate(fit: &WeibullFit, config: &EstimationConfig) -> f64 {
     }
 }
 
-/// Delete-one jackknife: `θ_J = m·θ̂ − (m−1)·mean(θ̂₋ᵢ)`. Requires every
-/// leave-one-out refit to succeed; otherwise returns the plain estimate
-/// (jackknife with missing replicates would itself be biased).
-fn jackknife(maxima: &[f64], plain: f64, config: &EstimationConfig) -> f64 {
-    let m = maxima.len();
-    let mut loo_sum = 0.0;
-    let mut loo = Vec::with_capacity(m - 1);
-    for skip in 0..m {
-        loo.clear();
-        loo.extend(
-            maxima
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != skip)
-                .map(|(_, &x)| x),
-        );
-        match fit_reversed_weibull(&loo) {
-            Ok(fit) => loo_sum += point_estimate(&fit, config),
-            Err(_) => return plain,
-        }
-    }
-    let m = m as f64;
-    m * plain - (m - 1.0) * (loo_sum / m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,7 +550,7 @@ mod tests {
                 .unwrap();
             assert_eq!(h.units_used, 300);
             assert_eq!(h.sample_maxima.len(), 10);
-            assert_eq!(h.estimator, EstimatorKind::Mle);
+            assert_eq!(h.diagnostics.rung, EstimatorKind::Mle);
             assert!(h.fit.is_some());
             assert_eq!(h.health, HyperHealth::default());
             assert!(h.estimate_mw >= h.observed_max);
@@ -628,7 +598,7 @@ mod tests {
         let h = generate_hyper_sample(&mut source, &HyperSampleContext::new(&config), &mut rng)
             .unwrap();
         assert_eq!(h.estimate_mw, 5.0);
-        assert_eq!(h.estimator, EstimatorKind::Quantile);
+        assert_eq!(h.diagnostics.rung, EstimatorKind::Quantile);
         assert!(h.fit.is_none());
         assert_eq!(h.units_used, 300);
         assert!(h.health.degenerate_bailout);
@@ -662,7 +632,7 @@ mod tests {
         let h = generate_hyper_sample(&mut source, &HyperSampleContext::new(&config), &mut rng)
             .unwrap();
         assert_eq!(h.units_used, 600);
-        assert_eq!(h.estimator, EstimatorKind::Mle);
+        assert_eq!(h.diagnostics.rung, EstimatorKind::Mle);
         assert_eq!(h.health.mle_retries, 1);
         assert!(h.health.degenerate_bailout);
     }
@@ -687,7 +657,7 @@ mod tests {
             .unwrap();
         assert_eq!(h.health.mle_retries, 3);
         assert_eq!(h.units_used, 1200);
-        assert_eq!(h.estimator, EstimatorKind::Quantile);
+        assert_eq!(h.diagnostics.rung, EstimatorKind::Quantile);
     }
 
     #[test]
@@ -710,7 +680,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let h = generate_hyper_sample(&mut source, &HyperSampleContext::new(&config), &mut rng)
             .unwrap();
-        assert_eq!(h.estimator, EstimatorKind::Quantile);
+        assert_eq!(h.diagnostics.rung, EstimatorKind::Quantile);
         assert_eq!(h.diagnostics.rung, EstimatorKind::Quantile);
         assert_eq!(h.estimate_mw, 5.0);
         assert_eq!(h.units_used, 1200);
@@ -809,44 +779,6 @@ mod tests {
         assert_eq!(h.health.sample_retries, h.health.samples_discarded);
         assert!(h.sample_maxima.iter().all(|&x| x >= 0.0));
         assert_eq!(h.units_used, 300 + h.health.samples_discarded);
-    }
-
-    #[test]
-    fn jackknife_runs_and_stays_sane() {
-        // The jackknife's bias-variance tradeoff is data-dependent (it
-        // helps on the gate-level power populations of the estimator
-        // ablation, hurts on some synthetic parents), so the unit test
-        // checks the mechanical contract only: finite estimates that never
-        // fall below the observed maximum, on the same draws as the plain
-        // estimator.
-        use crate::config::BiasCorrection;
-        let run = |correction: BiasCorrection| -> Vec<HyperSample> {
-            let mut source = FnSource::new(weibull_source(3.0, 1.0, 10.0));
-            let config = EstimationConfig {
-                bias_correction: correction,
-                ..EstimationConfig::default()
-            };
-            let mut rng = SmallRng::seed_from_u64(9);
-            (0..10)
-                .map(|_| {
-                    generate_hyper_sample(&mut source, &HyperSampleContext::new(&config), &mut rng)
-                        .unwrap()
-                })
-                .collect()
-        };
-        let plain = run(BiasCorrection::None);
-        let jack = run(BiasCorrection::Jackknife);
-        for (p, j) in plain.iter().zip(&jack) {
-            assert!(j.estimate_mw.is_finite());
-            assert!(j.estimate_mw >= j.observed_max);
-            // Same RNG stream, same draws: the underlying fits agree.
-            assert_eq!(p.sample_maxima, j.sample_maxima);
-        }
-        // The correction actually does something on at least one replicate.
-        assert!(plain
-            .iter()
-            .zip(&jack)
-            .any(|(p, j)| (p.estimate_mw - j.estimate_mw).abs() > 1e-9));
     }
 
     #[test]

@@ -89,8 +89,8 @@ pub mod supervise;
 pub mod sweep;
 
 pub use average::{estimate_average_power, AveragePowerEstimate};
-pub use checkpoint::{config_fingerprint, Checkpoint, CheckpointHistoryEntry, CHECKPOINT_VERSION};
-pub use config::{BiasCorrection, EstimationConfig, SamplePolicy};
+pub use checkpoint::{config_fingerprint, Checkpoint, CHECKPOINT_VERSION};
+pub use config::{EstimationConfig, SamplePolicy};
 pub use error::{AppError, FailureKind, MaxPowerError};
 pub use estimator::{EstimateHistoryEntry, MaxPowerEstimate};
 pub use execute::{execute, Execution, Hooks};

@@ -185,7 +185,7 @@ pub struct EstimateReport {
     /// Per-hyper-sample estimates, for audit/debugging.
     pub hyper_estimates: Vec<f64>,
     /// Which estimator produced each hyper-sample (parallel to
-    /// `hyper_estimates`).
+    /// `hyper_estimates`): the `rung` of each `fit_diagnostics` record.
     pub hyper_estimators: Vec<EstimatorKind>,
     /// Per-hyper-sample estimator audit trail (parallel to
     /// `hyper_estimates`, v7): rung, typed reason code and goodness-of-fit
@@ -253,7 +253,7 @@ impl EstimateReport {
             status: estimate.status,
             health: estimate.health,
             hyper_estimates: estimate.hyper_estimates.clone(),
-            hyper_estimators: estimate.hyper_estimators.clone(),
+            hyper_estimators: estimate.fit_diagnostics.iter().map(|d| d.rung).collect(),
             fit_diagnostics: estimate.fit_diagnostics.clone(),
             telemetry: None,
             workers: 1,
@@ -541,7 +541,6 @@ mod tests {
                 units_used: 300,
             }],
             hyper_estimates: vec![10.2, 10.8],
-            hyper_estimators: vec![EstimatorKind::Mle, EstimatorKind::Quantile],
             fit_diagnostics: vec![
                 FitDiagnostics {
                     rung: EstimatorKind::Mle,
@@ -703,7 +702,10 @@ mod tests {
         assert_eq!(report.ci_high, est.confidence_interval.1);
         assert_eq!(report.units_used, 2400);
         assert_eq!(report.hyper_estimates.len(), 2);
-        assert_eq!(report.hyper_estimators.len(), 2);
+        assert_eq!(
+            report.hyper_estimators,
+            [EstimatorKind::Mle, EstimatorKind::Quantile]
+        );
         assert_eq!(report.fit_diagnostics.len(), 2);
         assert_eq!(
             report.fit_diagnostics[0].reason,

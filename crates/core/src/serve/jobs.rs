@@ -3,9 +3,10 @@
 //!
 //! A [`JobSpec`] is the one request type: `mpe estimate` parses its flags
 //! into one and `POST /jobs` parses its body into one, and both run it
-//! through [`execute`], so a served report is byte-identical to the CLI's
-//! for the same spec (modulo the declared-volatile `wall_ms` and the
-//! server-only `job` provenance block).
+//! through [`execute`](crate::execute()), so a served report is
+//! byte-identical to the CLI's for the same spec (modulo the
+//! declared-volatile `wall_ms` and the server-only `job` provenance
+//! block).
 //!
 //! The engine is a bounded FIFO queue in front of a fixed pool of runner
 //! threads. Submission is admission-controlled: a full queue refuses the

@@ -5,12 +5,11 @@
 //! A change to `golden/*.json` is a change to the wire format every
 //! downstream reader, resumed checkpoint and spooled daemon job depends on.
 
-use maxpower::checkpoint::CheckpointHistoryEntry;
 use maxpower::health::{FitDiagnostics, FitReasonCode};
 use maxpower::report::PhaseQuantiles;
 use maxpower::{
-    Checkpoint, CounterValue, EstimateReport, EstimatorKind, JobProvenance, PhaseTiming, RunHealth,
-    RunStatus, StopReason, TelemetrySummary, CHECKPOINT_VERSION,
+    Checkpoint, CounterValue, EstimateHistoryEntry, EstimateReport, EstimatorKind, JobProvenance,
+    PhaseTiming, RunHealth, RunStatus, StopReason, TelemetrySummary, CHECKPOINT_VERSION,
 };
 
 const GOLDEN_REPORT: &str = include_str!("golden/report.json");
@@ -131,19 +130,18 @@ fn sealed_checkpoint() -> Checkpoint {
         config_fingerprint: 0xcbf2_9ce4_8422_2325,
         master_seed: u64::MAX,
         hyper_estimates: vec![12.5, 12.191357802469134],
-        hyper_estimators: vec![EstimatorKind::Mle, EstimatorKind::Quantile],
         fit_diagnostics: diagnostics(),
         history: vec![
-            CheckpointHistoryEntry {
+            EstimateHistoryEntry {
                 k: 1,
                 mean_mw: 12.5,
-                relative_half_width: None,
+                relative_half_width: f64::INFINITY,
                 units_used: 1_800,
             },
-            CheckpointHistoryEntry {
+            EstimateHistoryEntry {
                 k: 2,
                 mean_mw: 12.345678901234567,
-                relative_half_width: Some(0.068_5),
+                relative_half_width: 0.068_5,
                 units_used: 3_600,
             },
         ],
@@ -207,7 +205,6 @@ fn optional_fields_are_skipped_when_absent_and_roundtrip_either_way() {
     let mut cp = sealed_checkpoint();
     cp.telemetry = None;
     cp.observed_max_mw = None;
-    cp.fit_diagnostics.clear();
     cp.seal();
     let text = cp.to_json();
     assert!(text.contains("\"observed_max_mw\": null"), "{text}");
@@ -267,27 +264,143 @@ fn legacy_report_without_optional_fields_reads_with_defaults() {
     assert!(err.contains("hyper_estimators"), "{err}");
 }
 
-#[test]
-fn legacy_checkpoint_without_diagnostics_telemetry_or_checksum_reads_with_defaults() {
-    let legacy = r#"{
-      "version": 3, "config_fingerprint": 18446744073709551557,
-      "master_seed": 42, "hyper_estimates": [2.5], "hyper_estimators": ["Quantile"],
-      "history": [{"k": 1, "mean_mw": 2.5, "relative_half_width": null, "units_used": 300}],
-      "units_used": 300, "observed_max_mw": 2.25,
-      "health": {
-        "samples_discarded": 0, "source_errors": 0, "sample_retries": 0,
-        "mle_retries": 0, "degenerate_bailouts": 0, "pot_fallbacks": 0,
-        "quantile_fallbacks": 1, "zero_mean_guard": false
+/// The sealed checkpoint 0.25.0 wrote (schema v3, with the
+/// `hyper_estimators` key v4 dropped): the previous golden file.
+const V3_CHECKPOINT: &str = r#"{
+  "version": 3,
+  "config_fingerprint": 14695981039346656037,
+  "master_seed": 18446744073709551615,
+  "hyper_estimates": [
+    12.5,
+    12.191357802469135
+  ],
+  "hyper_estimators": [
+    "Mle",
+    "Quantile"
+  ],
+  "fit_diagnostics": [
+    {
+      "rung": "Mle",
+      "reason": "Converged",
+      "log_likelihood": -0.8125,
+      "ks_distance": 0.1171875,
+      "tail_shape": 2.9
+    },
+    {
+      "rung": "Quantile",
+      "reason": "DegenerateMaxima",
+      "log_likelihood": null,
+      "ks_distance": null,
+      "tail_shape": -1e-7
+    }
+  ],
+  "history": [
+    {
+      "k": 1,
+      "mean_mw": 12.5,
+      "relative_half_width": null,
+      "units_used": 1800
+    },
+    {
+      "k": 2,
+      "mean_mw": 12.345678901234567,
+      "relative_half_width": 0.0685,
+      "units_used": 3600
+    }
+  ],
+  "units_used": 3600,
+  "observed_max_mw": 12.0,
+  "health": {
+    "samples_discarded": 0,
+    "source_errors": 0,
+    "sample_retries": 0,
+    "mle_retries": 0,
+    "degenerate_bailouts": 0,
+    "pot_fallbacks": 0,
+    "quantile_fallbacks": 1,
+    "zero_mean_guard": false,
+    "worker_restarts": 0,
+    "worker_stalls": 0,
+    "irregular_fits": 0
+  },
+  "telemetry": {
+    "phases": [
+      {
+        "phase": "run",
+        "count": 1,
+        "total_ns": 81234567
+      },
+      {
+        "phase": "fit",
+        "count": 12,
+        "total_ns": 4000001
       }
-    }"#;
-    let cp = Checkpoint::from_json(legacy).expect("legacy checkpoint parses");
-    assert!(cp.fit_diagnostics.is_empty());
-    assert_eq!(cp.telemetry, None);
-    assert_eq!(cp.checksum, None);
-    assert_eq!(cp.config_fingerprint, 18_446_744_073_709_551_557);
-    assert_eq!(cp.history[0].relative_half_width, None);
-    assert_eq!(cp.health.quantile_fallbacks, 1);
-    assert!(cp.verify(18_446_744_073_709_551_557, 42).is_ok());
+    ],
+    "counters": [
+      {
+        "name": "vector_pairs_simulated",
+        "value": 3600
+      }
+    ],
+    "quantiles": [
+      {
+        "phase": "fit",
+        "p50_ns": 262144,
+        "p95_ns": 524288,
+        "p99_ns": 1048576
+      }
+    ]
+  },
+  "checksum": 1337102820354352182
+}"#;
+
+#[test]
+fn v3_checkpoint_is_refused_by_its_version() {
+    let err = Checkpoint::from_json(V3_CHECKPOINT)
+        .expect_err("a v3 record is refused")
+        .to_string();
+    assert!(
+        err.contains("version 3") && err.contains("supported 4"),
+        "{err}"
+    );
+    assert!(!err.contains("checksum"), "{err}");
+}
+
+#[test]
+fn unsealed_and_short_diagnostics_checkpoints_are_refused() {
+    let mut unsealed = sealed_checkpoint();
+    unsealed.checksum = None;
+    let text = unsealed.to_json();
+    assert!(text.contains("\"checksum\": null"), "{text}");
+    let err = Checkpoint::from_json(&text)
+        .expect_err("unsealed")
+        .to_string();
+    assert!(err.contains("unsealed"), "{err}");
+
+    // Every key the writer emits is required.
+    for key in [
+        "fit_diagnostics",
+        "telemetry",
+        "observed_max_mw",
+        "checksum",
+    ] {
+        // Renamed, the key reads as absent (unknown keys are ignored).
+        let text = GOLDEN_CHECKPOINT.replacen(&format!("\"{key}\":"), "\"renamed\":", 1);
+        let err = Checkpoint::from_json(&text).expect_err(key).to_string();
+        assert!(err.contains(&format!("missing field `{key}`")), "{err}");
+    }
+
+    // A diagnostics trail shorter than the estimates is a mismatch, not
+    // padded, even when sealed over.
+    let mut short = sealed_checkpoint();
+    short.fit_diagnostics.pop();
+    short.seal();
+    let back = Checkpoint::from_json(&short.to_json()).expect("the seal holds");
+    let err = back
+        .verify(0xcbf2_9ce4_8422_2325, u64::MAX)
+        .expect_err("short trail")
+        .to_string();
+    assert!(err.contains("2 estimates, 1 fit diagnostics"), "{err}");
 }
 
 /// `text` with the first `from` after `anchor` replaced by `to`.
@@ -314,17 +427,16 @@ fn report_naming_the_removed_pot_rung_is_refused() {
 
 #[test]
 fn checkpoint_naming_the_removed_pot_rung_is_refused() {
-    for anchor in ["\"hyper_estimators\": ", "\"rung\": "] {
-        let text = replace_after(GOLDEN_CHECKPOINT, anchor, "\"Quantile\"", "\"Pot\"");
-        let err = Checkpoint::from_json(&text)
-            .expect_err("Pot rung refused")
-            .to_string();
-        assert!(
-            err.contains("EstimatorKind") && err.contains("\"Pot\""),
-            "{anchor}: {err}"
-        );
-    }
-    // A pre-v4 checkpoint whose only hyper-sample came from the POT rung.
+    let text = replace_after(GOLDEN_CHECKPOINT, "\"rung\": ", "\"Quantile\"", "\"Pot\"");
+    let err = Checkpoint::from_json(&text)
+        .expect_err("Pot rung refused")
+        .to_string();
+    assert!(
+        err.contains("EstimatorKind") && err.contains("\"Pot\""),
+        "{err}"
+    );
+    // A v3 checkpoint whose only hyper-sample came from the POT rung is
+    // refused by its version before any rung is read.
     let legacy = r#"{
       "version": 3, "config_fingerprint": 18446744073709551557,
       "master_seed": 42, "hyper_estimates": [2.5], "hyper_estimators": ["Pot"],
@@ -337,7 +449,7 @@ fn checkpoint_naming_the_removed_pot_rung_is_refused() {
       }
     }"#;
     let err = Checkpoint::from_json(legacy)
-        .expect_err("Pot rung refused")
+        .expect_err("v3 refused")
         .to_string();
-    assert!(err.contains("\"Pot\""), "{err}");
+    assert!(err.contains("version 3"), "{err}");
 }

@@ -60,7 +60,10 @@ fn fault_injected_circuit_run_converges_with_exact_accounting() {
     assert_eq!(r.status, RunStatus::Converged);
     assert!(r.relative_error <= 0.10);
     assert!(r.estimate_mw > 0.0 && r.estimate_mw.is_finite());
-    assert!(r.hyper_estimators.iter().all(|&e| e == EstimatorKind::Mle));
+    assert!(r
+        .fit_diagnostics
+        .iter()
+        .all(|d| d.rung == EstimatorKind::Mle));
 
     // Exact units accounting: every Ok reading costs one unit (including
     // the NaNs the Skip policy discards); errored calls cost nothing.

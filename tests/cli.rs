@@ -214,6 +214,68 @@ fn checkpoint_from_another_seed_is_refused_and_left_untouched() {
     }
 }
 
+/// `text`, a checkpoint this build wrote, in the v3 layout of 0.25.0 and
+/// earlier: version 3, with each hyper-sample's rung also listed under
+/// `hyper_estimators`.
+fn as_v3_checkpoint(text: &str) -> String {
+    let cp = maxpower::Checkpoint::from_json(text).expect("a valid checkpoint");
+    let rungs: Vec<_> = cp.fit_diagnostics.iter().map(|d| d.rung).collect();
+    let rungs = maxpower::serve::json::to_string(&rungs);
+    text.replacen("\"version\": 4,", "\"version\": 3,", 1)
+        .replacen(
+            "  \"fit_diagnostics\":",
+            &format!("  \"hyper_estimators\": {rungs},\n  \"fit_diagnostics\":"),
+            1,
+        )
+}
+
+#[test]
+fn v3_checkpoint_is_refused_by_version_and_left_untouched() {
+    let dir = std::env::temp_dir().join("mpe_cli_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("c432_v3.ckpt");
+    let path = path.to_str().expect("utf8 path");
+    let backup = format!("{path}.bak");
+    for stale in [path, &backup] {
+        let _ = std::fs::remove_file(stale);
+    }
+    let base = ["estimate", "--circuit", "C432", "--epsilon", "0.15"];
+    let (ok, _, stderr) =
+        run(&[&base[..], &["--hyper-budget", "2", "--checkpoint", path]].concat());
+    assert!(ok, "{stderr}");
+    let v3 = as_v3_checkpoint(&std::fs::read_to_string(path).expect("checkpoint written"));
+    assert!(
+        v3.contains("\"hyper_estimators\": [\"Mle\",\"Mle\"]"),
+        "{v3}"
+    );
+    for file in [path, &backup] {
+        std::fs::write(file, &v3).expect("v3 checkpoint written");
+    }
+
+    let out = mpe()
+        .args(base)
+        .args(["--checkpoint", path])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 3 != supported 4"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("resuming from checkpoint"), "{stderr}");
+    for file in [path, &backup] {
+        assert_eq!(
+            std::fs::read_to_string(file).expect("still there"),
+            v3,
+            "{file} changed"
+        );
+    }
+    for stale in [path, &backup] {
+        let _ = std::fs::remove_file(stale);
+    }
+}
+
 #[test]
 fn unwritable_checkpoint_warns_but_still_reports() {
     let dir = std::env::temp_dir().join("mpe_cli_test");

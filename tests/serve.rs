@@ -425,7 +425,7 @@ fn unusable_spool_checkpoints_rerun_to_the_cli_report() {
     let dir = temp_dir("unusable_checkpoints");
     let spool = dir.join("spool");
     std::fs::create_dir_all(&spool).expect("spool dir");
-    for id in ["j000001", "j000002"] {
+    for id in ["j000001", "j000002", "j000003"] {
         std::fs::write(
             spool.join(format!("{id}.spec.json")),
             format!(
@@ -450,11 +450,39 @@ fn unusable_spool_checkpoints_rerun_to_the_cli_report() {
     let text = std::fs::read_to_string(&other_seed).expect("checkpoint written");
     let cp = maxpower::Checkpoint::from_json(&text).expect("a valid checkpoint");
     assert_eq!(cp.master_seed, 7);
+    // A checkpoint of the job's own seed in the v3 layout of 0.25.0 and
+    // earlier (version 3, rungs also under `hyper_estimators`): refused by
+    // its version.
+    let v3 = spool.join("j000003.ckpt");
+    cli_json(&[
+        "estimate",
+        "--circuit",
+        "C432",
+        "--epsilon",
+        "0.2",
+        "--seed",
+        "42",
+        "--hyper-budget",
+        "2",
+        "--checkpoint",
+        v3.to_str().expect("utf-8 path"),
+    ]);
+    let text = std::fs::read_to_string(&v3).expect("checkpoint written");
+    let text = text
+        .replacen("\"version\": 4,", "\"version\": 3,", 1)
+        .replacen(
+            "  \"fit_diagnostics\":",
+            "  \"hyper_estimators\": [\"Mle\", \"Mle\"],\n  \"fit_diagnostics\":",
+            1,
+        );
+    let err = maxpower::Checkpoint::from_json(&text).expect_err("v3 refused");
+    assert!(err.to_string().contains("version 3"), "{err}");
+    std::fs::write(&v3, text).expect("v3 checkpoint written");
 
     let spool_arg = spool.to_str().expect("utf-8 path");
     let daemon = Daemon::start(&dir, &["--spool", spool_arg]);
     let reference = normalized(&cli_report("42"));
-    for id in ["j000001", "j000002"] {
+    for id in ["j000001", "j000002", "j000003"] {
         daemon.await_status(id, "done");
         let (status, served) = daemon.get(&format!("/jobs/{id}/report"));
         assert_eq!(status, 200);
